@@ -78,7 +78,7 @@ func (db *DB) ExecAsync(stmt sqlparse.Statement) (*Result, *jobs.Job, error) {
 		}
 		return nil, job, nil
 	}
-	res, err := db.execEngine(stmt)
+	res, err := db.execEngine(stmt, false, nil)
 	if err == nil {
 		return res, nil, nil
 	}

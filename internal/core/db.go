@@ -293,20 +293,10 @@ func (db *DB) mutate(fn func() error) error {
 // execEngine executes a statement under the snapshot gate, so DML lands
 // atomically with respect to Snapshot. SELECT-heavy workloads are not
 // serialized: the gate is an RWMutex and statements take the read side.
-func (db *DB) execEngine(stmt sqlparse.Statement) (*Result, error) {
-	return db.execEngineOpt(stmt, false)
-}
-
-// execEngineOpt is execEngine with the result cache optionally bypassed
-// for this statement (the ?nocache=1 escape hatch).
-func (db *DB) execEngineOpt(stmt sqlparse.Statement, nocache bool) (*Result, error) {
-	return db.execEngineQT(stmt, nocache, nil)
-}
-
-// execEngineQT is execEngineOpt with an optional query trace: when qt is
-// non-nil, SELECTs execute with per-operator instrumentation and fill in
-// their phase timings.
-func (db *DB) execEngineQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Result, error) {
+// nocache bypasses the result cache for this statement (the ?nocache=1
+// escape hatch); a non-nil qt makes SELECTs execute with per-operator
+// instrumentation and fill in their phase timings.
+func (db *DB) execEngine(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Result, error) {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	switch s := stmt.(type) {
@@ -432,15 +422,12 @@ func (db *DB) ExecSQLNoCache(sql string) (*Result, *ExpansionReport, error) {
 // scheduler: concurrent queries hitting the same missing column join one
 // shared job (singleflight) instead of each paying for its own crowd run.
 func (db *DB) Exec(stmt sqlparse.Statement) (*Result, *ExpansionReport, error) {
-	return db.exec(stmt, false)
+	return db.execQT(stmt, false, nil)
 }
 
-func (db *DB) exec(stmt sqlparse.Statement, nocache bool) (*Result, *ExpansionReport, error) {
-	return db.execQT(stmt, nocache, nil)
-}
-
-// execQT is exec with an optional query trace threaded down to the
-// SELECT path (nil means untraced).
+// execQT is Exec with the result cache optionally bypassed and an
+// optional query trace threaded down to the SELECT path (nil means
+// untraced).
 func (db *DB) execQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Result, *ExpansionReport, error) {
 	if ex, ok := stmt.(*sqlparse.ExpandStmt); ok {
 		job, err := db.submitExpandStmt(ex)
@@ -456,7 +443,7 @@ func (db *DB) execQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Re
 		return &Result{Message: msg}, report, nil
 	}
 
-	res, err := db.execEngineQT(stmt, nocache, qt)
+	res, err := db.execEngine(stmt, nocache, qt)
 	if err == nil {
 		return res, nil, nil
 	}
@@ -478,7 +465,7 @@ func (db *DB) execQT(stmt sqlparse.Statement, nocache bool, qt *QueryTrace) (*Re
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err = db.execEngineQT(stmt, nocache, qt)
+	res, err = db.execEngine(stmt, nocache, qt)
 	if err != nil {
 		return nil, report, err
 	}

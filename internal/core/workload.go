@@ -48,7 +48,7 @@ const SpeculativeBudgetKey = "__speculative__"
 const maxSpeculations = 2
 
 // observeLocked records one workload event and journals it as a typed
-// workload_obs record. Caller holds db.gate.RLock (the execEngineOpt
+// workload_obs record. Caller holds db.gate.RLock (the execEngine
 // path), so the record lands atomically with respect to Snapshot.
 func (db *DB) observeLocked(obs workload.Observation) {
 	if db.tracker == nil {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"sort"
 
 	"crowddb/internal/engine/plan"
@@ -99,14 +98,14 @@ func (st *aggState) finalize(agg sqlparse.AggFunc) storage.Value {
 // group's first row. Aggregates without GROUP BY yield exactly one row,
 // even for empty input (standard SQL).
 //
-// When the node's Dop is > 1 and its input is a morsel chain (input is
-// nil then), Open instead folds partial per-worker group maps over the
-// chain's morsels and merges them — states via aggState.merge, group
-// identity (first row, first-seen sequence) from the partial with the
-// lowest sequence — so output order and values match a serial fold
-// exactly.
+// The fold runs over the input's morsels (see inputSource): each worker
+// keeps a partial group map, and the partials merge — states via
+// aggState.merge, group identity (first row, first-seen sequence) from
+// the partial with the lowest sequence — so output order and values are
+// the same at any dop. A serial input is one morsel, leaving one partial
+// and nothing to merge.
 type aggIter struct {
-	input Iterator // nil when the fold runs parallel over the input chain
+	input Iterator // nil when the fold runs over the input chain's morsels
 	node  *plan.Aggregate
 	env   rowEnv
 
@@ -159,57 +158,28 @@ func foldRow(s *plan.Aggregate, env *rowEnv, row storage.Row, seq int64, groups 
 func (a *aggIter) Open() error {
 	a.env.layout = a.node.Layout
 	a.out, a.pos = nil, 0
-
-	var groups map[string]*aggGroup
-	var err error
-	if a.input != nil {
-		groups, err = a.foldSerial()
-	} else {
-		groups, err = a.foldParallel()
-	}
+	groups, err := a.fold()
 	if err != nil {
 		return err
 	}
 	return a.emit(groups)
 }
 
-func (a *aggIter) foldSerial() (map[string]*aggGroup, error) {
-	if err := a.input.Open(); err != nil {
-		return nil, err
-	}
-	groups := map[string]*aggGroup{}
-	var seq int64
-	for {
-		row, ok, err := a.input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return groups, nil
-		}
-		if err := foldRow(a.node, &a.env, row, seq, groups); err != nil {
-			return nil, err
-		}
-		seq++
-	}
-}
-
-// foldParallel folds partial group maps per worker over the input
-// chain's morsels, then merges them. Each worker stamps rows with
-// idx*morselRows+local — morsel-ordered sequences — so the merged
-// first-seen order equals the serial one.
-func (a *aggIter) foldParallel() (map[string]*aggGroup, error) {
-	src, err := chainSource(a.node.Input)
+// fold folds partial group maps per worker over the input's morsels, then
+// merges them. Each worker stamps rows with idx*morselRows+local —
+// morsel-ordered sequences — so the merged first-seen order equals the
+// serial one.
+func (a *aggIter) fold() (map[string]*aggGroup, error) {
+	src, err := inputSource(a.input, a.node.Input)
 	if err != nil {
 		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("engine: internal: parallel aggregate input is not a morsel chain")
+	partials := make([]map[string]*aggGroup, max(1, a.node.Dop))
+	for w := range partials {
+		partials[w] = map[string]*aggGroup{}
 	}
-	partials := make([]map[string]*aggGroup, a.node.Dop)
-	err = runMorsels(src, a.node.Dop, func(w int) func(idx int, it Iterator) error {
-		groups := map[string]*aggGroup{}
-		partials[w] = groups
+	_, err = runMorsels(src, a.node.Dop, func(w int) func(idx int, it Iterator) error {
+		groups := partials[w]
 		env := &rowEnv{layout: a.node.Layout}
 		return func(idx int, it Iterator) error {
 			seq := int64(idx) * morselRows
@@ -232,8 +202,8 @@ func (a *aggIter) foldParallel() (map[string]*aggGroup, error) {
 		return nil, err
 	}
 
-	merged := map[string]*aggGroup{}
-	for _, part := range partials {
+	merged := partials[0]
+	for _, part := range partials[1:] {
 		for key, g := range part {
 			ex, ok := merged[key]
 			if !ok {
@@ -318,10 +288,9 @@ func (a *aggIter) Next() (storage.Row, bool, error) {
 	return row, true, nil
 }
 
+// Close has no child to close: the fold closed its input (runMorsels
+// closes every morsel it opens).
 func (a *aggIter) Close() error {
 	a.out = nil
-	if a.input != nil {
-		return a.input.Close()
-	}
 	return nil
 }

@@ -13,6 +13,8 @@ import (
 // IndexRange (bound probe) plan nodes. The residual predicate runs inside
 // the refill like a pushed-down scan filter, so rows it rejects are never
 // copied at all. Rows returned by Next alias the cursor's batch buffer.
+// As a morsel it reads pre-resolved ids against the source's borrowed
+// snapshot; otherwise Open resolves the probe and pins its own.
 type indexIter struct {
 	table    *storage.Table
 	index    string
@@ -20,13 +22,16 @@ type indexIter struct {
 	residual sqlparse.Expr
 	layout   *plan.Layout
 
+	snap *storage.Snap // borrowed morsel snapshot; nil resolves at Open
+	ids  []int
+
 	cur *storage.IndexCursor
 	env rowEnv
 }
 
 // pointProbeOf lowers an IndexScan node's equality key — composite when
 // the planner matched several conjuncts — into a storage probe. Shared by
-// the serial iterator and the index-only path.
+// the point-probe iterator and the index-only path.
 func pointProbeOf(n *plan.IndexScan) storage.IndexProbe {
 	if len(n.Keys) > 0 {
 		key := make([]storage.Value, len(n.Keys))
@@ -49,7 +54,7 @@ func newIndexScanIter(n *plan.IndexScan) *indexIter {
 }
 
 // rangeProbeOf lowers an IndexRange node's bounds into a storage probe —
-// shared by the serial iterator, the morsel partitioner and the
+// shared by the probe iterator, the morsel partitioner and the
 // index-only path. Desc becomes a reversed probe: same rows, opposite
 // key order.
 func rangeProbeOf(n *plan.IndexRange) storage.IndexProbe {
@@ -75,11 +80,15 @@ func newIndexRangeIter(n *plan.IndexRange) *indexIter {
 }
 
 func (s *indexIter) Open() error {
-	cur, err := s.table.NewIndexCursor(s.index, s.probe, 0)
-	if err != nil {
-		return err
+	if s.snap != nil {
+		s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
+	} else {
+		cur, err := s.table.NewIndexCursor(s.index, s.probe, 0)
+		if err != nil {
+			return err
+		}
+		s.cur = cur
 	}
-	s.cur = cur
 	s.env.layout = s.layout
 	if s.residual != nil {
 		pred := s.residual

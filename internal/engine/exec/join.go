@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"sort"
 	"strconv"
 	"sync"
@@ -20,34 +19,20 @@ import (
 // With no keys, the single hash bucket degenerates into a cross join,
 // filtered by the residual.
 //
-// When the plan's Dop is > 1 and a child is a morsel chain, that phase
-// runs parallel: build workers insert sequence-stamped entries into a
-// sharded table (buckets are re-sorted by sequence after the barrier, so
-// probe output matches a serial build exactly), and the probe side
-// streams through the ordered gather exchange. Either side can be
-// parallel independently; a non-chain child (e.g. a lower join) keeps
-// its serial iterator.
+// Each phase has one body at every dop. The build runs over the right
+// input's morsels (see inputSource): workers insert sequence-stamped
+// entries into a sharded table, and when more than one worker filled it
+// the buckets are re-sorted by sequence after the barrier, so probe
+// output matches a one-worker build exactly. The probe is a probeIter
+// streaming the serial left child, or the ordered gather exchange over
+// probeIters on the left chain's morsels when the Parallelize pass
+// marked that side.
 type hashJoinIter struct {
 	node        *plan.HashJoin
-	left, right Iterator // serial children; nil when that side runs parallel
+	left, right Iterator // serial children; nil when that side is a morsel chain
 
 	table *joinTable
-
-	leftEnv  rowEnv
-	rightEnv rowEnv
-	outEnv   rowEnv
-
-	// Reusable per-iterator scratch for key encoding and key-value
-	// buffers: the probe hot path allocates nothing per input row.
-	scratch []byte
-	valBuf  []storage.Value
-
-	// Serial probe state: the current left row's pending matches.
-	leftRow storage.Row
-	matches []joinEntry
-	mi      int
-
-	gather *gatherIter // parallel probe exchange, nil when left is serial
+	probe Iterator // probeIter over left, or gather over the left chain
 }
 
 // appendJoinKey appends an encoding of the key values to dst, with the
@@ -144,54 +129,26 @@ func (jt *joinTable) sortBuckets() {
 }
 
 func (j *hashJoinIter) Open() error {
-	j.leftEnv.layout = j.node.LeftLayout
-	j.rightEnv.layout = j.node.RightLayout
-	j.outEnv.layout = j.node.Layout
 	j.table = newJoinTable()
-	j.leftRow, j.matches, j.mi = nil, nil, 0
-
 	if err := j.build(); err != nil {
 		return err
 	}
 	if j.left != nil {
-		return j.left.Open()
+		j.probe = &probeIter{input: j.left, j: j}
+	} else {
+		j.probe = &gatherIter{dop: j.node.Dop, mkSource: j.probeSource}
 	}
-	j.gather = &gatherIter{dop: j.node.Dop, mkSource: j.probeSource}
-	return j.gather.Open()
+	return j.probe.Open()
 }
 
-// build fills the hash table from the right input — serially through the
-// child iterator, or with Dop workers over the chain's morsels. Build
-// rows are cloned either way: the scan beneath reuses its batch buffer.
+// build fills the hash table from the right input's morsels. Build rows
+// are cloned: the scan beneath reuses its batch buffer.
 func (j *hashJoinIter) build() error {
-	if j.right != nil {
-		if err := j.right.Open(); err != nil {
-			return err
-		}
-		var seq int64
-		for {
-			row, ok, err := j.right.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := j.insertBuildRow(row, seq, &j.rightEnv, &j.scratch, &j.valBuf); err != nil {
-				return err
-			}
-			seq++
-		}
-	}
-
-	src, err := chainSource(j.node.Right)
+	src, err := inputSource(j.right, j.node.Right)
 	if err != nil {
 		return err
 	}
-	if src == nil {
-		return errors.New("engine: internal: parallel build side is not a morsel chain")
-	}
-	err = runMorsels(src, j.node.Dop, func(int) func(idx int, it Iterator) error {
+	workers, err := runMorsels(src, j.node.Dop, func(int) func(idx int, it Iterator) error {
 		env := rowEnv{layout: j.node.RightLayout}
 		var scratch []byte
 		var vals []storage.Value
@@ -215,7 +172,9 @@ func (j *hashJoinIter) build() error {
 	if err != nil {
 		return err
 	}
-	j.table.sortBuckets()
+	if workers > 1 {
+		j.table.sortBuckets()
+	}
 	return nil
 }
 
@@ -241,65 +200,15 @@ func (j *hashJoinIter) insertBuildRow(row storage.Row, seq int64, env *rowEnv, s
 	return nil
 }
 
-func (j *hashJoinIter) Next() (storage.Row, bool, error) {
-	if j.gather != nil {
-		return j.gather.Next()
-	}
-	for {
-		for j.mi < len(j.matches) {
-			right := j.matches[j.mi].row
-			j.mi++
-			combined := make(storage.Row, 0, len(j.leftRow)+len(right))
-			combined = append(append(combined, j.leftRow...), right...)
-			if j.node.Residual != nil {
-				j.outEnv.row = combined
-				t, err := EvalPredicate(j.node.Residual, &j.outEnv)
-				if err != nil {
-					return nil, false, err
-				}
-				if t != TriTrue {
-					continue
-				}
-			}
-			return combined, true, nil
-		}
-
-		row, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.leftEnv.row = row
-		vals := j.valBuf[:0]
-		for _, e := range j.node.LeftKeys {
-			v, err := EvalValue(e, &j.leftEnv)
-			if err != nil {
-				return nil, false, err
-			}
-			vals = append(vals, v)
-		}
-		j.valBuf = vals
-		key, keyOK := appendJoinKey(j.scratch[:0], vals)
-		j.scratch = key
-		if !keyOK {
-			continue
-		}
-		// No clone: each emitted row copies the left values, and the scan
-		// buffer beneath is only recycled on the next left pull.
-		j.matches, j.mi, j.leftRow = j.table.lookup(key), 0, row
-	}
-}
+func (j *hashJoinIter) Next() (storage.Row, bool, error) { return j.probe.Next() }
 
 // probeSource wraps the left chain's morsels in probe iterators for the
 // gather exchange: each morsel probes the shared (now read-only) build
-// table with worker-private envs and scratch, emitting owned combined
-// rows.
+// table with its own envs and scratch, emitting owned combined rows.
 func (j *hashJoinIter) probeSource() (*morselSource, error) {
 	src, err := chainSource(j.node.Left)
 	if err != nil {
 		return nil, err
-	}
-	if src == nil {
-		return nil, errors.New("engine: internal: parallel probe side is not a morsel chain")
 	}
 	inner := src.open
 	src.open = func(i int) (Iterator, error) {
@@ -307,15 +216,16 @@ func (j *hashJoinIter) probeSource() (*morselSource, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &probeMorselIter{input: it, j: j}, nil
+		return &probeIter{input: it, j: j}, nil
 	}
 	src.owned = true // combined rows are fresh allocations
 	return src, nil
 }
 
-// probeMorselIter runs the serial probe loop over one morsel of the left
-// input.
-type probeMorselIter struct {
+// probeIter streams its left input through the built table, emitting
+// one combined row per match. Per-iterator envs and scratch keep the hot
+// path free of per-row allocations beyond the combined row itself.
+type probeIter struct {
 	input Iterator
 	j     *hashJoinIter
 
@@ -329,13 +239,13 @@ type probeMorselIter struct {
 	mi      int
 }
 
-func (p *probeMorselIter) Open() error {
+func (p *probeIter) Open() error {
 	p.leftEnv.layout = p.j.node.LeftLayout
 	p.outEnv.layout = p.j.node.Layout
 	return p.input.Open()
 }
 
-func (p *probeMorselIter) Next() (storage.Row, bool, error) {
+func (p *probeIter) Next() (storage.Row, bool, error) {
 	node := p.j.node
 	for {
 		for p.mi < len(p.matches) {
@@ -375,25 +285,21 @@ func (p *probeMorselIter) Next() (storage.Row, bool, error) {
 		if !keyOK {
 			continue
 		}
+		// No clone: each emitted row copies the left values, and the scan
+		// buffer beneath is only recycled on the next left pull.
 		p.matches, p.mi, p.leftRow = p.j.table.lookup(key), 0, row
 	}
 }
 
-func (p *probeMorselIter) Close() error { return p.input.Close() }
+func (p *probeIter) Close() error { return p.input.Close() }
 
-// Close closes every side it owns, joining errors so a right-side
-// failure is never masked by a left-side one.
+// Close closes the probe side, which owns the left child or the gather
+// over the left chain. The build's runMorsels already closed the right
+// input.
 func (j *hashJoinIter) Close() error {
 	j.table = nil
-	var errs []error
-	if j.left != nil {
-		errs = append(errs, j.left.Close())
+	if j.probe == nil {
+		return nil
 	}
-	if j.right != nil {
-		errs = append(errs, j.right.Close())
-	}
-	if j.gather != nil {
-		errs = append(errs, j.gather.Close())
-	}
-	return errors.Join(errs...)
+	return j.probe.Close()
 }

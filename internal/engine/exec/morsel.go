@@ -15,20 +15,22 @@ import (
 // is split into fixed-size morsels: disjoint row-index ranges for scans,
 // disjoint chunks of the resolved row-ID list for index probes. Each
 // worker claims whole morsels and runs a private iterator stack over its
-// morsel, so the only shared state below the exchange is the table's
-// read lock, which the batched cursors already take per 256-row batch.
+// morsel, so the only shared state below the exchange is the pinned
+// snapshot, which cursors read without locks. Every operator has one
+// body: an input the pass left serial is a single morsel on one worker.
 
 // morselRows is the number of table rows per morsel: big enough that
 // per-morsel setup (cursor allocation, goroutine handoff) is noise,
 // small enough that a filtered scan load-balances across workers.
 const morselRows = 4096
 
-// morselSource describes a partitioned chain: count morsels, each opened
-// as an independent iterator. owned reports that emitted rows are fresh
-// allocations (a Project top) rather than aliases of a cursor batch
-// buffer, letting the exchange skip its copy. release drops the shared
-// snapshot pin every morsel reads through; the phase driver calls it
-// exactly once, after all workers have stopped.
+// morselSource describes a partitioned input: count morsels, each opened
+// as an independent iterator (a serial input is one morsel). owned
+// reports that emitted rows are fresh allocations (a Project top) rather
+// than aliases of a cursor batch buffer, letting the exchange skip its
+// copy. release drops the shared snapshot pin every morsel reads
+// through; runMorsels or the gather calls it once, after all workers
+// have stopped.
 type morselSource struct {
 	count   int
 	owned   bool
@@ -57,15 +59,26 @@ func parallelChain(n plan.Node) bool {
 	}
 }
 
+// inputSource is the morsel source a barrier operator (aggregate fold,
+// hash-join build) consumes: the chain's morsels when its child was left
+// unbuilt because the Parallelize pass marked n as a chain (in == nil),
+// otherwise the built child iterator as a single morsel — so a serial
+// run is the parallel code on one worker.
+func inputSource(in Iterator, n plan.Node) (*morselSource, error) {
+	if in == nil {
+		return chainSource(n)
+	}
+	return &morselSource{count: 1, open: func(int) (Iterator, error) { return in, nil }}, nil
+}
+
 // chainSource lowers a morsel chain into its source, snapshotting the
-// partition (row count / resolved IDs) at call time. Returns nil when the
-// subtree is not a partitionable chain.
+// partition (row count / resolved IDs) at call time.
 func chainSource(n plan.Node) (*morselSource, error) {
 	switch t := n.(type) {
 	case *plan.Filter:
 		src, err := chainSource(t.Input)
-		if err != nil || src == nil {
-			return src, err
+		if err != nil {
+			return nil, err
 		}
 		inner := src.open
 		src.open = func(i int) (Iterator, error) {
@@ -78,8 +91,8 @@ func chainSource(n plan.Node) (*morselSource, error) {
 		return src, nil
 	case *plan.Project:
 		src, err := chainSource(t.Input)
-		if err != nil || src == nil {
-			return src, err
+		if err != nil {
+			return nil, err
 		}
 		inner := src.open
 		src.open = func(i int) (Iterator, error) {
@@ -104,12 +117,11 @@ func chainSource(n plan.Node) (*morselSource, error) {
 			open: func(i int) (Iterator, error) {
 				lo := i * morselRows
 				hi := min(lo+morselRows, rows)
-				return &morselScanIter{node: t, snap: snap, lo: lo, hi: hi}, nil
+				return &scanIter{node: t, snap: snap, lo: lo, hi: hi}, nil
 			},
 		}, nil
 	case *plan.IndexRange:
-		probe := rangeProbeOf(t)
-		snap, ids, err := t.Table.PinIndexProbe(t.Index, probe)
+		snap, ids, err := t.Table.PinIndexProbe(t.Index, rangeProbeOf(t))
 		if err != nil {
 			return nil, err
 		}
@@ -120,94 +132,12 @@ func chainSource(n plan.Node) (*morselSource, error) {
 			open: func(i int) (Iterator, error) {
 				lo := i * morselRows
 				hi := min(lo+morselRows, len(ids))
-				return &morselIndexIter{node: t, snap: snap, ids: ids[lo:hi]}, nil
+				return &indexIter{residual: t.Residual, layout: t.Layout, snap: snap, ids: ids[lo:hi]}, nil
 			},
 		}, nil
 	default:
-		return nil, nil
+		return nil, fmt.Errorf("engine: internal: %T is not a morsel chain", n)
 	}
-}
-
-// morselScanIter is scanIter over one row-index window of the source's
-// shared snapshot (borrowed pin — the source releases it).
-type morselScanIter struct {
-	node   *plan.Scan
-	snap   *storage.Snap
-	lo, hi int
-	cur    *storage.Cursor
-	env    rowEnv
-}
-
-func (s *morselScanIter) Open() error {
-	s.cur = storage.NewRangeCursorAt(s.snap, s.lo, s.hi, 0)
-	s.env.layout = s.node.Layout
-	preds, rest := splitVectorizable(s.node.Filter, s.node.Layout)
-	if len(preds) > 0 {
-		s.cur.SetPreds(preds)
-	}
-	if rest != nil {
-		pred := rest
-		s.cur.SetFilter(func(row storage.Row) (bool, error) {
-			s.env.row = row
-			t, err := EvalPredicate(pred, &s.env)
-			return t == TriTrue, err
-		})
-	}
-	return nil
-}
-
-func (s *morselScanIter) Next() (storage.Row, bool, error) {
-	row, ok := s.cur.Next()
-	if !ok {
-		return nil, false, s.cur.Err()
-	}
-	return row, true, nil
-}
-
-func (s *morselScanIter) Close() error {
-	if s.cur != nil {
-		s.cur.Close()
-	}
-	return nil
-}
-
-// morselIndexIter is indexIter over one chunk of pre-resolved row IDs
-// against the source's shared snapshot (borrowed pin).
-type morselIndexIter struct {
-	node *plan.IndexRange
-	snap *storage.Snap
-	ids  []int
-	cur  *storage.IndexCursor
-	env  rowEnv
-}
-
-func (s *morselIndexIter) Open() error {
-	s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
-	s.env.layout = s.node.Layout
-	if s.node.Residual != nil {
-		pred := s.node.Residual
-		s.cur.SetFilter(func(row storage.Row) (bool, error) {
-			s.env.row = row
-			t, err := EvalPredicate(pred, &s.env)
-			return t == TriTrue, err
-		})
-	}
-	return nil
-}
-
-func (s *morselIndexIter) Next() (storage.Row, bool, error) {
-	row, ok := s.cur.Next()
-	if !ok {
-		return nil, false, s.cur.Err()
-	}
-	return row, true, nil
-}
-
-func (s *morselIndexIter) Close() error {
-	if s.cur != nil {
-		s.cur.Close()
-	}
-	return nil
 }
 
 // rowArena copies rows that alias cursor batch buffers into chunked
@@ -232,54 +162,56 @@ func (a *rowArena) add(row storage.Row) storage.Row {
 	return a.chunk[start : start+n : start+n]
 }
 
-// runMorsels drives a barrier-style parallel phase (hash-join build,
-// partial aggregation): dop workers claim morsels off an atomic counter,
-// open each morsel's iterator, hand it to the worker's per-morsel
-// function, and close it. The first error cancels remaining claims;
-// runMorsels returns after every worker has stopped.
-func runMorsels(src *morselSource, dop int, mkWorker func(w int) func(idx int, it Iterator) error) error {
+// runMorsels drives a barrier-style phase (hash-join build, aggregate
+// fold): up to dop workers claim morsels off an atomic counter, open each
+// morsel's iterator, hand it to the worker's per-morsel function, and
+// close it. Worker 0 runs on the calling goroutine, so a one-morsel
+// source (a serial input) spawns nothing. The first error cancels
+// remaining claims; runMorsels returns after every worker has stopped,
+// reporting how many ran.
+func runMorsels(src *morselSource, dop int, mkWorker func(w int) func(idx int, it Iterator) error) (int, error) {
 	defer src.Release()
 	if src.count == 0 {
-		return nil
+		return 0, nil
 	}
-	if dop > src.count {
-		dop = src.count
-	}
+	workers := max(1, min(dop, src.count))
 	var next atomic.Int64
 	var failed atomic.Bool
-	errs := make([]error, dop)
+	errs := make([]error, workers)
+	work := func(w int) {
+		fn := mkWorker(w)
+		for !failed.Load() {
+			idx := int(next.Add(1) - 1)
+			if idx >= src.count {
+				return
+			}
+			it, err := src.open(idx)
+			if err == nil {
+				if err = it.Open(); err == nil {
+					err = fn(idx, it)
+				}
+				if cerr := it.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				errs[w] = err
+				failed.Store(true)
+				return
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < dop; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fn := mkWorker(w)
-			for !failed.Load() {
-				idx := int(next.Add(1) - 1)
-				if idx >= src.count {
-					return
-				}
-				it, err := src.open(idx)
-				if err == nil {
-					if err = it.Open(); err != nil {
-						_ = it.Close()
-					} else {
-						err = fn(idx, it)
-						if cerr := it.Close(); err == nil {
-							err = cerr
-						}
-					}
-				}
-				if err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-			}
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
-	return errors.Join(errs...)
+	return workers, errors.Join(errs...)
 }
 
 // gatherIter is the ordered exchange operator: dop workers each drain
@@ -452,16 +384,7 @@ func (g *gatherIter) Close() error {
 // gatherOf builds the executor for a plan.Gather node.
 func gatherOf(t *plan.Gather) *gatherIter {
 	return &gatherIter{
-		dop: t.Dop,
-		mkSource: func() (*morselSource, error) {
-			src, err := chainSource(t.Input)
-			if err != nil {
-				return nil, err
-			}
-			if src == nil {
-				return nil, fmt.Errorf("engine: internal: Gather over non-chain input %T", t.Input)
-			}
-			return src, nil
-		},
+		dop:      t.Dop,
+		mkSource: func() (*morselSource, error) { return chainSource(t.Input) },
 	}
 }

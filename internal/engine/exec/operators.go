@@ -6,18 +6,25 @@ import (
 )
 
 // scanIter streams a table through the storage cursor: values are copied
-// into the cursor's reusable batch buffer under a per-batch read lock —
-// no per-row allocation, no lock held across operator boundaries. The
-// plan's pushed-down filter runs inside the refill, so rejected rows are
-// never copied at all.
+// into the cursor's reusable batch buffer with zero locks — no per-row
+// allocation. The plan's pushed-down filter runs inside the refill, so
+// rejected rows are never copied at all. As a morsel it reads the window
+// [lo, hi) of the source's borrowed snapshot; otherwise Open pins the
+// whole table.
 type scanIter struct {
-	node *plan.Scan
-	cur  *storage.Cursor
-	env  rowEnv
+	node   *plan.Scan
+	snap   *storage.Snap // borrowed morsel snapshot; nil pins at Open
+	lo, hi int
+	cur    *storage.Cursor
+	env    rowEnv
 }
 
 func (s *scanIter) Open() error {
-	s.cur = s.node.Table.NewCursor(0)
+	if s.snap != nil {
+		s.cur = storage.NewRangeCursorAt(s.snap, s.lo, s.hi, 0)
+	} else {
+		s.cur = s.node.Table.NewCursor(0)
+	}
 	s.env.layout = s.node.Layout
 	preds, rest := splitVectorizable(s.node.Filter, s.node.Layout)
 	if len(preds) > 0 {

@@ -248,3 +248,43 @@ func TestParallelJoinDuringCrowdFill(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestParallelErrorPathsReleaseSnapshots runs queries that hit a runtime
+// division by zero in each operator body — scan filter, join build, join
+// probe, aggregate fold, and a filter above a join of joins — at
+// exec-workers 1 and 8. Every run must fail, and afterwards no table may
+// still hold a snapshot pin: whichever code closes the build child, the
+// probe child, or the morsel sources on the error path, it must close
+// them all.
+func TestParallelErrorPathsReleaseSnapshots(t *testing.T) {
+	e := parallelEngine(t)
+	defer e.SetExecWorkers(1)
+	queries := map[string]string{
+		"scan filter": `SELECT id FROM wide WHERE score / (id - 4500) > 1.0`,
+		// The filtered side is the smaller estimate, so it is the build.
+		"join build, chain": `SELECT a.id FROM wide a JOIN wide b ON a.id = b.id
+			WHERE b.score / (b.id - 4500) > 0`,
+		"join build, serial child": `SELECT w.id, d.label FROM wide w JOIN dims d ON w.k = d.k
+			WHERE d.k / (d.k - 5) > 0`,
+		"join probe": `SELECT w.id, d.label FROM wide w JOIN dims d ON w.k = d.k
+			WHERE w.score / (w.id - 4500) > 0`,
+		"aggregate fold": `SELECT grp, SUM(score / (id - 4500)) FROM wide GROUP BY grp`,
+		"filter above join of joins": `SELECT w.id FROM wide w JOIN dims d ON w.k = d.k
+			JOIN tiny t ON w.id < t.bound WHERE w.score / (w.id - t.bound + d.k - d.k + 100) > 0`,
+	}
+	for name, sql := range queries {
+		for _, dop := range []int{1, 8} {
+			e.SetExecWorkers(dop)
+			_, err := e.ExecSQL(sql)
+			if err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Fatalf("%s at dop %d: err = %v, want division by zero", name, dop, err)
+			}
+			for _, table := range []string{"wide", "dims", "tiny"} {
+				tbl, _ := e.Catalog().Get(table)
+				if pins := tbl.LiveSnapshotEpochs(); len(pins) != 0 {
+					t.Fatalf("%s at dop %d: %s still pins epochs %v", name, dop, table, pins)
+				}
+			}
+		}
+	}
+}

@@ -39,15 +39,7 @@ func (e *Engine) PlanSelect(s *sqlparse.SelectStmt) (*plan.SelectPlan, error) {
 // ExecPlan runs a previously built SELECT plan and materializes the
 // result.
 func ExecPlan(p *plan.SelectPlan) (*Result, error) {
-	it, err := exec.Build(p.Root)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := exec.Drain(it)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: p.Columns, Rows: rows, Affected: len(rows)}, nil
+	return execPlan(p, nil)
 }
 
 // ExecPlanTraced runs a SELECT plan with per-operator instrumentation on
@@ -56,15 +48,25 @@ func ExecPlan(p *plan.SelectPlan) (*Result, error) {
 // ?trace=1 requests, and the slow-query log.
 func ExecPlanTraced(p *plan.SelectPlan) (*Result, *exec.Trace, error) {
 	tr := exec.NewTrace()
-	it, err := exec.BuildTraced(p.Root, tr)
+	res, err := execPlan(p, tr)
 	if err != nil {
 		return nil, nil, err
+	}
+	return res, tr, nil
+}
+
+// execPlan builds p's iterator tree (traced when tr is non-nil), drains
+// it, and wraps the rows.
+func execPlan(p *plan.SelectPlan, tr *exec.Trace) (*Result, error) {
+	it, err := exec.BuildTraced(p.Root, tr)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := exec.Drain(it)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &Result{Columns: p.Columns, Rows: rows, Affected: len(rows)}, tr, nil
+	return &Result{Columns: p.Columns, Rows: rows, Affected: len(rows)}, nil
 }
 
 // execExplain handles EXPLAIN and EXPLAIN ANALYZE over a SELECT. Plain

@@ -312,19 +312,24 @@ func TestAdmissionQueueSheds(t *testing.T) {
 	_, ts := newTestServer(t, svc, Config{MaxInflight: 1})
 
 	// Occupy the single admission slot with a sync expanding query.
-	started := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		close(started)
 		code, _ := postQuery(t, ts.URL, `SELECT 1 FROM movies WHERE is_comedy = true`, "sync")
 		if code != http.StatusOK {
 			t.Errorf("blocked query finished with %d", code)
 		}
 	}()
-	<-started
-	// Give the in-flight request time to take the slot, then expect 503.
-	deadline := time.Now().Add(2 * time.Second)
+	// Wait until that query reaches the (stalled) crowd, so it holds the
+	// slot before any probe can take it; then every probe must get 503.
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.calls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocked query never reached the crowd")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	deadline = time.Now().Add(2 * time.Second)
 	got503 := false
 	for time.Now().Before(deadline) {
 		body, _ := json.Marshal(queryRequest{SQL: `SELECT 1 FROM movies`})

@@ -56,26 +56,21 @@ type Cursor struct {
 const DefaultBatchSize = 256
 
 // NewCursor creates a batched cursor over the table's current snapshot.
+// The cursor owns its snapshot pin and releases it when the scan is
+// exhausted or Closed.
 func (t *Table) NewCursor(batchSize int) *Cursor {
-	return t.NewRangeCursor(0, -1, batchSize)
-}
-
-// NewRangeCursor creates a cursor over the physical-row window [lo, hi)
-// of a snapshot pinned now — the partitioning primitive for
-// morsel-parallel scans: disjoint windows of the same snapshot can be
-// read by concurrent cursors with no coordination at all. hi < 0 means
-// "to the end of the snapshot". Tombstoned rows inside the window are
-// skipped. The cursor owns its snapshot pin and releases it when the
-// scan is exhausted or Closed.
-func (t *Table) NewRangeCursor(lo, hi, batchSize int) *Cursor {
-	c := newCursorOn(t.Pin(), lo, hi, batchSize)
+	c := newCursorOn(t.Pin(), 0, -1, batchSize)
 	c.owns = true
 	return c
 }
 
-// NewRangeCursorAt creates a cursor over [lo, hi) of an already-pinned
-// snapshot. The caller keeps ownership of snap — morsel workers share
-// one pin across all their window cursors and release it once.
+// NewRangeCursorAt creates a cursor over the physical-row window [lo, hi)
+// of an already-pinned snapshot — the partitioning primitive for
+// morsel-parallel scans: disjoint windows of the same snapshot can be
+// read by concurrent cursors with no coordination at all. hi < 0 means
+// "to the end of the snapshot"; tombstoned rows inside the window are
+// skipped. The caller keeps ownership of snap — morsel workers share one
+// pin across all their window cursors and release it once.
 func NewRangeCursorAt(snap *Snap, lo, hi, batchSize int) *Cursor {
 	return newCursorOn(snap, lo, hi, batchSize)
 }
