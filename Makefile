@@ -47,13 +47,15 @@ bench:
 	$(GO) test -bench . -benchmem .
 
 # One-shot run of the planner/executor, batching, and workload-subsystem
-# benchmarks (DESIGN.md §10–§11, §13) so perf regressions surface in PR
-# logs without a full bench sweep. The TopN number should stay well under
-# the sort-everything baseline (≥5×); BatchedElicitation should report a
-# ≥2× charge reduction; CachedSelect should sit ≥20× under the uncached
-# baseline; SpeculativeHitMerge should report columns-per-charge of 2.
+# benchmarks (DESIGN.md §10–§11, §13–§14) so perf regressions surface in
+# PR logs without a full bench sweep. The TopN number should stay well
+# under the sort-everything baseline (≥5×); GroupBySelect's allocs/op
+# should stay in the hundreds (per group and morsel, never per row);
+# BatchedElicitation should report a ≥2× charge reduction; CachedSelect
+# should sit ≥20× under the uncached baseline; SpeculativeHitMerge should
+# report columns-per-charge of 2.
 bench-smoke:
-	$(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect' -benchtime 1x -benchmem -cpu 1,4 .
+	$(GO) test -run xxx -bench 'TopNSelect|SortEverythingBaseline|GroupBySelect|BenchmarkHashJoin|StreamingSelect|BatchedElicitation|PointLookup|RangeScan|CachedSelect|UncachedSelectBaseline|SpeculativeHitMerge|ParallelScanFilter|ParallelHashJoin|ScanDuringFill|VectorizedFilter|PerRowFilterBaseline|CompactedScan|InstrumentedSelect' -benchtime 1x -benchmem -cpu 1,4 .
 
 # Bench-regression wall: run the guarded benchmarks with enough
 # repetitions for a stable minimum, emit the numbers as JSON

@@ -866,6 +866,52 @@ func BenchmarkSortEverythingBaseline(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupBySelect folds a GROUP BY over half of a 1M-row table:
+// the hash aggregate's per-row path (group-key encoding, aggregate
+// observation) at the executor's dop. With -benchmem, allocs/op counts
+// what the fold allocates per query — per group and per morsel, never
+// per row.
+const groupByRows = 1_000_000
+
+var (
+	groupByEngineOnce sync.Once
+	groupByEngine     *engine.Engine
+	groupByEngineErr  error
+)
+
+func BenchmarkGroupBySelect(b *testing.B) {
+	groupByEngineOnce.Do(func() {
+		eng := engine.New(storage.NewCatalog())
+		if _, err := eng.ExecSQL(`CREATE TABLE events (id INTEGER, kind INTEGER, score FLOAT, ts INTEGER)`); err != nil {
+			groupByEngineErr = err
+			return
+		}
+		tbl, _ := eng.Catalog().Get("events")
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < groupByRows && groupByEngineErr == nil; i++ {
+			groupByEngineErr = tbl.Insert(storage.Int(int64(i)), storage.Int(int64(rng.Intn(20))),
+				storage.Float(rng.Float64()*1000), storage.Int(int64(i)))
+		}
+		groupByEngine = eng
+	})
+	if groupByEngineErr != nil {
+		b.Fatal(groupByEngineErr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := groupByEngine.ExecSQL(`SELECT kind, COUNT(*), AVG(score) FROM events
+			WHERE ts >= 250000 AND ts < 750000 GROUP BY kind`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 20 {
+			b.Fatalf("groups = %d", len(res.Rows))
+		}
+	}
+	b.ReportMetric(float64(groupByRows/2), "rows-folded/op")
+}
+
 var (
 	joinEngineOnce sync.Once
 	joinEngine     *engine.Engine

@@ -18,24 +18,31 @@ type aggState struct {
 	numeric bool
 }
 
-func (st *aggState) observe(v storage.Value) {
+// observe folds one argument value into the state of aggregate agg,
+// tracking only what agg's finalize reads: COUNT counts, SUM/AVG also
+// add, MIN/MAX also compare.
+func (st *aggState) observe(agg sqlparse.AggFunc, v storage.Value) {
 	if v.IsNull() {
 		return
 	}
 	st.count++
-	if f, ok := v.AsFloat(); ok {
-		st.sum += f
-		st.numeric = true
-	}
-	if !st.any {
-		st.min, st.max, st.any = v, v, true
-		return
-	}
-	if c, err := v.Compare(st.min); err == nil && c < 0 {
-		st.min = v
-	}
-	if c, err := v.Compare(st.max); err == nil && c > 0 {
-		st.max = v
+	switch agg {
+	case sqlparse.AggSum, sqlparse.AggAvg:
+		if f, ok := v.AsFloat(); ok {
+			st.sum += f
+			st.numeric = true
+		}
+	case sqlparse.AggMin, sqlparse.AggMax:
+		if !st.any {
+			st.min, st.max, st.any = v, v, true
+			return
+		}
+		if c, err := v.Compare(st.min); err == nil && c < 0 {
+			st.min = v
+		}
+		if c, err := v.Compare(st.max); err == nil && c > 0 {
+			st.max = v
+		}
 	}
 }
 
@@ -119,26 +126,44 @@ type aggGroup struct {
 	states   []aggState
 }
 
+// aggWorker is one fold worker's private state: its partial group map,
+// its env (column references resolved once, see rowEnv), the scratch
+// buffer each row's group key is encoded into — so a row of an existing
+// group costs no allocation — and the arenas a new group is carved from,
+// leaving the map's key string its only allocation.
+type aggWorker struct {
+	node   *plan.Aggregate
+	env    rowEnv
+	key    []byte
+	groups map[string]*aggGroup
+
+	groupArena arena[aggGroup]
+	stateArena arena[aggState]
+	rowArena   arena[storage.Value]
+}
+
 // foldRow hashes one input row into its group and observes every
 // aggregate item. seq is the row's global input sequence, used to keep
 // group output in first-seen order across parallel partials.
-func foldRow(s *plan.Aggregate, env *rowEnv, row storage.Row, seq int64, groups map[string]*aggGroup) error {
-	env.row = row
-	keyVals := make(storage.Row, len(s.GroupBy))
-	for gi, g := range s.GroupBy {
-		v, err := EvalValue(g, env)
+func (w *aggWorker) foldRow(row storage.Row, seq int64) error {
+	w.env.row = row
+	key := w.key[:0]
+	for _, g := range w.node.GroupBy {
+		v, err := EvalValue(g, &w.env)
 		if err != nil {
 			return err
 		}
-		keyVals[gi] = v
+		key = appendGroupKey(key, v)
 	}
-	key := rowKey(keyVals)
-	grp, ok := groups[key]
+	w.key = key
+	grp, ok := w.groups[string(key)]
 	if !ok {
-		grp = &aggGroup{firstRow: row.Clone(), firstSeq: seq, states: make([]aggState, len(s.Items))}
-		groups[key] = grp
+		grp = &w.groupArena.take(1)[0]
+		grp.firstRow, grp.firstSeq = w.rowArena.add(row), seq
+		grp.states = w.stateArena.take(len(w.node.Items))
+		w.groups[string(key)] = grp
 	}
-	for k, item := range s.Items {
+	for k, item := range w.node.Items {
 		if item.Agg == sqlparse.AggNone {
 			continue
 		}
@@ -146,11 +171,11 @@ func foldRow(s *plan.Aggregate, env *rowEnv, row storage.Row, seq int64, groups 
 			grp.states[k].count++
 			continue
 		}
-		v, err := EvalValue(item.Expr, env)
+		v, err := EvalValue(item.Expr, &w.env)
 		if err != nil {
 			return err
 		}
-		grp.states[k].observe(v)
+		grp.states[k].observe(item.Agg, v)
 	}
 	return nil
 }
@@ -174,13 +199,10 @@ func (a *aggIter) fold() (map[string]*aggGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	partials := make([]map[string]*aggGroup, max(1, a.node.Dop))
-	for w := range partials {
-		partials[w] = map[string]*aggGroup{}
-	}
+	workers := make([]aggWorker, max(1, a.node.Dop))
 	_, err = runMorsels(src, a.node.Dop, func(w int) func(idx int, it Iterator) error {
-		groups := partials[w]
-		env := &rowEnv{layout: a.node.Layout}
+		wk := &workers[w]
+		wk.node, wk.env.layout, wk.groups = a.node, a.node.Layout, map[string]*aggGroup{}
 		return func(idx int, it Iterator) error {
 			seq := int64(idx) * morselRows
 			for {
@@ -191,7 +213,7 @@ func (a *aggIter) fold() (map[string]*aggGroup, error) {
 				if !ok {
 					return nil
 				}
-				if err := foldRow(a.node, env, row, seq, groups); err != nil {
+				if err := wk.foldRow(row, seq); err != nil {
 					return err
 				}
 				seq++
@@ -202,9 +224,12 @@ func (a *aggIter) fold() (map[string]*aggGroup, error) {
 		return nil, err
 	}
 
-	merged := partials[0]
-	for _, part := range partials[1:] {
-		for key, g := range part {
+	merged := workers[0].groups
+	if merged == nil {
+		merged = map[string]*aggGroup{} // no morsel: the input is empty
+	}
+	for _, wk := range workers[1:] {
+		for key, g := range wk.groups {
 			ex, ok := merged[key]
 			if !ok {
 				merged[key] = g

@@ -80,6 +80,10 @@ func newIndexRangeIter(n *plan.IndexRange) *indexIter {
 }
 
 func (s *indexIter) Open() error {
+	if s.snap != nil && s.cur != nil { // a worker's reused morsel probe
+		s.cur.Reset(s.ids)
+		return nil
+	}
 	if s.snap != nil {
 		s.cur = storage.NewIndexCursorAt(s.snap, s.ids, 0)
 	} else {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"crowddb/internal/engine/plan"
@@ -16,7 +15,8 @@ import (
 // stream; Close releases resources. Rows returned by Next may alias
 // internal buffers and are valid only until the following Next call —
 // callers that retain rows must Clone them. Operators that construct
-// fresh rows (Project, Aggregate, HashJoin output) hand over ownership.
+// fresh rows (Project, Aggregate, Sort, TopN) hand over ownership; a
+// HashJoin reuses one combined-row buffer per probe iterator.
 type Iterator interface {
 	Open() error
 	Next() (storage.Row, bool, error)
@@ -60,25 +60,15 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 	case *plan.Gather:
 		return gatherOf(t), nil
 	case *plan.HashJoin:
-		// A side the Parallelize pass marked as a morsel chain gets no
-		// child iterator: the join runs that phase (build fill or probe)
-		// over the chain's morsels itself.
-		j := &hashJoinIter{node: t}
-		if !(t.Dop > 1 && parallelChain(t.Left)) {
-			left, err := build(t.Left, tr)
-			if err != nil {
-				return nil, err
-			}
-			j.left = left
+		left, err := barrierInput(t.Left, t.Dop, tr)
+		if err != nil {
+			return nil, err
 		}
-		if !(t.Dop > 1 && parallelChain(t.Right)) {
-			right, err := build(t.Right, tr)
-			if err != nil {
-				return nil, err
-			}
-			j.right = right
+		right, err := barrierInput(t.Right, t.Dop, tr)
+		if err != nil {
+			return nil, err
 		}
-		return j, nil
+		return &hashJoinIter{node: t, left: left, right: right}, nil
 	case *plan.Project:
 		in, err := build(t.Input, tr)
 		if err != nil {
@@ -86,10 +76,7 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 		}
 		return &projectIter{input: in, node: t}, nil
 	case *plan.Aggregate:
-		if t.Dop > 1 && parallelChain(t.Input) {
-			return &aggIter{node: t}, nil // folds the chain's morsels itself
-		}
-		in, err := build(t.Input, tr)
+		in, err := barrierInput(t.Input, t.Dop, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -101,11 +88,11 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 		}
 		return &sortIter{input: in, keys: t.Keys, env: keyEnv(t.Layout, t.ByOutput)}, nil
 	case *plan.TopN:
-		in, err := build(t.Input, tr)
+		in, err := barrierInput(t.Input, t.Dop, tr)
 		if err != nil {
 			return nil, err
 		}
-		return &topNIter{input: in, keys: t.Keys, n: t.N, env: keyEnv(t.Layout, t.ByOutput)}, nil
+		return &topNIter{input: in, node: t}, nil
 	case *plan.Distinct:
 		in, err := build(t.Input, tr)
 		if err != nil {
@@ -123,18 +110,47 @@ func buildRaw(n plan.Node, tr *Trace) (Iterator, error) {
 	}
 }
 
+// barrierInput builds the child of a barrier operator — aggregate fold,
+// TopN fold, either side of a hash join — or returns nil when the
+// Parallelize pass marked it as a morsel chain (dop > 1), which the
+// operator then runs over the chain's morsels itself (see inputSource).
+func barrierInput(n plan.Node, dop int, tr *Trace) (Iterator, error) {
+	if dop > 1 && parallelChain(n) {
+		return nil, nil
+	}
+	return build(n, tr)
+}
+
 // rowEnv resolves references against a base (layout-shaped) row. The row
-// field is repointed per row, so one env serves a whole scan.
+// field is repointed per row, so one env serves a whole scan. The layout
+// is fixed for the env's lifetime, so each distinct reference is resolved
+// against it once and its row index memoized: later rows pay a scan of
+// the few memoized (table, name) pairs — whose strings share the
+// expression tree's backing bytes — instead of Layout.Resolve's
+// lower-casing and map lookups. A reference that fails to resolve is not
+// memoized, so it fails with the same error on every row.
 type rowEnv struct {
 	layout *plan.Layout
 	row    storage.Row
+	refs   []resolvedRef
+}
+
+type resolvedRef struct {
+	table, name string
+	idx         int
 }
 
 func (e *rowEnv) Lookup(table, name string) (storage.Value, error) {
+	for i := range e.refs {
+		if r := &e.refs[i]; r.name == name && r.table == table {
+			return e.row[r.idx], nil
+		}
+	}
 	idx, err := e.layout.Resolve(table, name)
 	if err != nil {
 		return storage.Null(), err
 	}
+	e.refs = append(e.refs, resolvedRef{table: table, name: name, idx: idx})
 	return e.row[idx], nil
 }
 
@@ -181,23 +197,6 @@ func keyEnv(layout *plan.Layout, byOutput []string) bindEnv {
 		return &rowEnv{layout: layout}
 	}
 	return newOutputEnv(byOutput)
-}
-
-// rowKey builds a deduplication key for DISTINCT and GROUP BY. The kind
-// tag keeps 1 and '1' distinct; values are length-prefixed so text
-// containing separator or kind-tag bytes cannot forge a collision
-// between different rows.
-func rowKey(row storage.Row) string {
-	var sb strings.Builder
-	for _, v := range row {
-		s := v.String()
-		sb.WriteByte(byte(v.Kind()))
-		sb.WriteString(strconv.Itoa(len(s)))
-		sb.WriteByte(':')
-		sb.WriteString(s)
-		sb.WriteByte(0x1f)
-	}
-	return sb.String()
 }
 
 // Drain runs an iterator to completion, returning all rows. It does NOT

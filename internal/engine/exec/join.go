@@ -1,8 +1,9 @@
 package exec
 
 import (
-	"sort"
-	"strconv"
+	"cmp"
+	"hash/maphash"
+	"slices"
 	"sync"
 
 	"crowddb/internal/engine/plan"
@@ -35,42 +36,6 @@ type hashJoinIter struct {
 	probe Iterator // probeIter over left, or gather over the left chain
 }
 
-// appendJoinKey appends an encoding of the key values to dst, with the
-// same equality semantics as the `=` operator: numeric values compare
-// across int/float, so both hash through their float form. Text is
-// length-prefixed so values containing separator bytes cannot forge a
-// multi-key collision (a key list is equal iff every component is).
-// ok=false when any value is NULL. The appended dst is returned so
-// callers can keep one scratch buffer per iterator instead of allocating
-// per row.
-func appendJoinKey(dst []byte, vals []storage.Value) ([]byte, bool) {
-	for _, v := range vals {
-		switch v.Kind() {
-		case storage.KindNull:
-			return dst, false
-		case storage.KindBool:
-			b, _ := v.AsBool()
-			if b {
-				dst = append(dst, 'b', '1')
-			} else {
-				dst = append(dst, 'b', '0')
-			}
-		case storage.KindInt, storage.KindFloat:
-			f, _ := v.AsFloat()
-			dst = append(dst, 'n')
-			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
-		case storage.KindText:
-			t, _ := v.AsText()
-			dst = append(dst, 't')
-			dst = strconv.AppendInt(dst, int64(len(t)), 10)
-			dst = append(dst, ':')
-			dst = append(dst, t...)
-		}
-		dst = append(dst, 0x1f)
-	}
-	return dst, true
-}
-
 // joinTable is the shared build table: a fixed shard array so parallel
 // build workers contend on a shard mutex, not one global lock. After the
 // build barrier it is read-only and probed without locking.
@@ -83,38 +48,33 @@ type joinEntry struct {
 
 type joinShard struct {
 	mu sync.Mutex
-	m  map[string][]joinEntry
+	m  map[string][]joinEntry // made on the shard's first insert
 }
 
-type joinTable struct{ shards [joinShards]joinShard }
-
-func newJoinTable() *joinTable {
-	jt := &joinTable{}
-	for i := range jt.shards {
-		jt.shards[i] = joinShard{m: map[string][]joinEntry{}}
-	}
-	return jt
+type joinTable struct {
+	seed   maphash.Seed // picks a key's shard
+	shards [joinShards]joinShard
 }
 
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
+func newJoinTable() *joinTable { return &joinTable{seed: maphash.MakeSeed()} }
+
+func (jt *joinTable) shard(key []byte) *joinShard {
+	return &jt.shards[maphash.Bytes(jt.seed, key)%joinShards]
 }
 
 func (jt *joinTable) insert(key []byte, seq int64, row storage.Row) {
-	s := &jt.shards[fnv1a(key)%joinShards]
+	s := jt.shard(key)
 	s.mu.Lock()
+	if s.m == nil {
+		s.m = map[string][]joinEntry{}
+	}
 	s.m[string(key)] = append(s.m[string(key)], joinEntry{seq: seq, row: row})
 	s.mu.Unlock()
 }
 
 // lookup is lock-free: only legal after the build barrier.
 func (jt *joinTable) lookup(key []byte) []joinEntry {
-	return jt.shards[fnv1a(key)%joinShards].m[string(key)]
+	return jt.shard(key).m[string(key)]
 }
 
 // sortBuckets orders every bucket by build sequence. Parallel workers
@@ -123,7 +83,9 @@ func (jt *joinTable) lookup(key []byte) []joinEntry {
 func (jt *joinTable) sortBuckets() {
 	for i := range jt.shards {
 		for _, entries := range jt.shards[i].m {
-			sort.Slice(entries, func(a, b int) bool { return entries[a].seq < entries[b].seq })
+			if len(entries) > 1 {
+				slices.SortFunc(entries, func(a, b joinEntry) int { return cmp.Compare(a.seq, b.seq) })
+			}
 		}
 	}
 }
@@ -142,16 +104,14 @@ func (j *hashJoinIter) Open() error {
 }
 
 // build fills the hash table from the right input's morsels. Build rows
-// are cloned: the scan beneath reuses its batch buffer.
+// are copied: the input beneath reuses its buffer.
 func (j *hashJoinIter) build() error {
 	src, err := inputSource(j.right, j.node.Right)
 	if err != nil {
 		return err
 	}
 	workers, err := runMorsels(src, j.node.Dop, func(int) func(idx int, it Iterator) error {
-		env := rowEnv{layout: j.node.RightLayout}
-		var scratch []byte
-		var vals []storage.Value
+		b := &buildWorker{j: j, env: rowEnv{layout: j.node.RightLayout}}
 		return func(idx int, it Iterator) error {
 			seq := int64(idx) * morselRows
 			for {
@@ -162,7 +122,7 @@ func (j *hashJoinIter) build() error {
 				if !ok {
 					return nil
 				}
-				if err := j.insertBuildRow(row, seq, &env, &scratch, &vals); err != nil {
+				if err := b.insert(row, seq); err != nil {
 					return err
 				}
 				seq++
@@ -178,25 +138,37 @@ func (j *hashJoinIter) build() error {
 	return nil
 }
 
-// insertBuildRow evaluates the build keys into the caller's scratch
-// buffers and inserts the cloned row. NULL keys are dropped.
-func (j *hashJoinIter) insertBuildRow(row storage.Row, seq int64, env *rowEnv, scratch *[]byte, valBuf *[]storage.Value) error {
-	env.row = row
-	vals := (*valBuf)[:0]
-	for _, e := range j.node.RightKeys {
-		v, err := EvalValue(e, env)
+// buildWorker is one build worker's private state: its env, the key and
+// value scratch every row reuses, and the arena its kept rows are copied
+// into.
+type buildWorker struct {
+	j       *hashJoinIter
+	env     rowEnv
+	scratch []byte
+	vals    []storage.Value
+	arena   arena[storage.Value]
+}
+
+// insert evaluates the build keys into the worker's scratch and inserts
+// a copy of the row (the input's buffer is recycled). NULL keys are
+// dropped.
+func (b *buildWorker) insert(row storage.Row, seq int64) error {
+	b.env.row = row
+	vals := b.vals[:0]
+	for _, e := range b.j.node.RightKeys {
+		v, err := EvalValue(e, &b.env)
 		if err != nil {
 			return err
 		}
 		vals = append(vals, v)
 	}
-	*valBuf = vals
-	key, ok := appendJoinKey((*scratch)[:0], vals)
-	*scratch = key
+	b.vals = vals
+	key, ok := appendJoinKey(b.scratch[:0], vals)
+	b.scratch = key
 	if !ok {
 		return nil
 	}
-	j.table.insert(key, seq, row.Clone())
+	b.j.table.insert(key, seq, b.arena.add(row))
 	return nil
 }
 
@@ -204,27 +176,23 @@ func (j *hashJoinIter) Next() (storage.Row, bool, error) { return j.probe.Next()
 
 // probeSource wraps the left chain's morsels in probe iterators for the
 // gather exchange: each morsel probes the shared (now read-only) build
-// table with its own envs and scratch, emitting owned combined rows.
+// table with its own envs and scratch. Its combined rows alias the
+// probe's buffer, so the gather copies them into its arena.
 func (j *hashJoinIter) probeSource() (*morselSource, error) {
 	src, err := chainSource(j.node.Left)
 	if err != nil {
 		return nil, err
 	}
-	inner := src.open
-	src.open = func(i int) (Iterator, error) {
-		it, err := inner(i)
-		if err != nil {
-			return nil, err
-		}
-		return &probeIter{input: it, j: j}, nil
-	}
-	src.owned = true // combined rows are fresh allocations
+	wrapSource(src, func(it Iterator) Iterator { return &probeIter{input: it, j: j} })
+	src.owned = false // combined rows alias the probe's buffer
 	return src, nil
 }
 
 // probeIter streams its left input through the built table, emitting
-// one combined row per match. Per-iterator envs and scratch keep the hot
-// path free of per-row allocations beyond the combined row itself.
+// one combined row per match. The combined row is built in one buffer
+// the iterator reuses — it is valid until the next call, like a scan's
+// row (consumers that keep rows clone them) — and with per-iterator envs
+// and key scratch the probe allocates nothing per row.
 type probeIter struct {
 	input Iterator
 	j     *hashJoinIter
@@ -233,6 +201,7 @@ type probeIter struct {
 	outEnv  rowEnv
 	scratch []byte
 	valBuf  []storage.Value
+	out     storage.Row
 
 	leftRow storage.Row
 	matches []joinEntry
@@ -242,6 +211,7 @@ type probeIter struct {
 func (p *probeIter) Open() error {
 	p.leftEnv.layout = p.j.node.LeftLayout
 	p.outEnv.layout = p.j.node.Layout
+	p.leftRow, p.matches, p.mi = nil, nil, 0
 	return p.input.Open()
 }
 
@@ -251,8 +221,8 @@ func (p *probeIter) Next() (storage.Row, bool, error) {
 		for p.mi < len(p.matches) {
 			right := p.matches[p.mi].row
 			p.mi++
-			combined := make(storage.Row, 0, len(p.leftRow)+len(right))
-			combined = append(append(combined, p.leftRow...), right...)
+			combined := append(append(p.out[:0], p.leftRow...), right...)
+			p.out = combined
 			if node.Residual != nil {
 				p.outEnv.row = combined
 				t, err := EvalPredicate(node.Residual, &p.outEnv)
@@ -285,7 +255,7 @@ func (p *probeIter) Next() (storage.Row, bool, error) {
 		if !keyOK {
 			continue
 		}
-		// No clone: each emitted row copies the left values, and the scan
+		// No clone: each emitted row copies the left values, and the
 		// buffer beneath is only recycled on the next left pull.
 		p.matches, p.mi, p.leftRow = p.j.table.lookup(key), 0, row
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,22 +21,50 @@ import (
 // body: an input the pass left serial is a single morsel on one worker.
 
 // morselRows is the number of table rows per morsel: big enough that
-// per-morsel setup (cursor allocation, goroutine handoff) is noise,
+// per-morsel setup (claiming, reopening the worker's stack) is noise,
 // small enough that a filtered scan load-balances across workers.
 const morselRows = 4096
 
-// morselSource describes a partitioned input: count morsels, each opened
-// as an independent iterator (a serial input is one morsel). owned
-// reports that emitted rows are fresh allocations (a Project top) rather
-// than aliases of a cursor batch buffer, letting the exchange skip its
-// copy. release drops the shared snapshot pin every morsel reads
-// through; runMorsels or the gather calls it once, after all workers
-// have stopped.
+// morselSource describes a partitioned input: count morsels, read by
+// workers that each build one iterator stack over the input (stack) and
+// re-aim its leaf at every morsel they claim (a serial input is one
+// morsel). owned reports that emitted rows are fresh allocations (a
+// Project top) rather than aliases of a cursor batch buffer, letting the
+// exchange skip its copy. release drops the shared snapshot pin every
+// morsel reads through; runMorsels or the gather calls it once, after
+// all workers have stopped.
 type morselSource struct {
 	count   int
 	owned   bool
-	open    func(i int) (Iterator, error)
+	stack   func() (top Iterator, aim func(i int))
 	release func()
+}
+
+// open returns the worker's iterator stack aimed at morsel i, building
+// the stack on the worker's first morsel.
+func (s *morselSource) open(i int, ws *morselScratch) Iterator {
+	if ws.top == nil {
+		ws.top, ws.aim = s.stack()
+	}
+	ws.aim(i)
+	return ws.top
+}
+
+// morselScratch is one worker's state reused across the morsels it
+// claims. Its iterator stack over the chain — leaf scan or index probe,
+// Filter/Project above it, a join's probe on top — is built once and
+// reopened per morsel: the leaf re-aims its cursor (storage
+// Cursor.Reset), and every operator keeps its env's resolved references
+// and its scratch buffers, so a worker allocates one batch buffer per
+// query, not one per morsel. This is safe because a worker finishes with
+// a morsel's rows before it opens the next: barrier folds copy what they
+// keep, and the gather copies borrowed rows into the worker's arena,
+// whose partly filled chunk carries over to the next morsel.
+type morselScratch struct {
+	top   Iterator
+	aim   func(i int)
+	arena arena[storage.Value]
+	rows  []storage.Row // the gather's row headers, copied out exact-size per morsel
 }
 
 // Release drops the source's snapshot pin, if any. Idempotence is the
@@ -60,15 +89,24 @@ func parallelChain(n plan.Node) bool {
 }
 
 // inputSource is the morsel source a barrier operator (aggregate fold,
-// hash-join build) consumes: the chain's morsels when its child was left
-// unbuilt because the Parallelize pass marked n as a chain (in == nil),
-// otherwise the built child iterator as a single morsel — so a serial
-// run is the parallel code on one worker.
+// TopN fold, hash-join build) consumes: the chain's morsels when its
+// child was left unbuilt because the Parallelize pass marked n as a
+// chain (in == nil), otherwise the built child iterator as a single
+// morsel — so a serial run is the parallel code on one worker.
 func inputSource(in Iterator, n plan.Node) (*morselSource, error) {
 	if in == nil {
 		return chainSource(n)
 	}
-	return &morselSource{count: 1, open: func(int) (Iterator, error) { return in, nil }}, nil
+	return &morselSource{count: 1, stack: func() (Iterator, func(int)) { return in, func(int) {} }}, nil
+}
+
+// wrapSource stacks one operator over every worker's stack of src.
+func wrapSource(src *morselSource, wrap func(Iterator) Iterator) {
+	inner := src.stack
+	src.stack = func() (Iterator, func(int)) {
+		it, aim := inner()
+		return wrap(it), aim
+	}
 }
 
 // chainSource lowers a morsel chain into its source, snapshotting the
@@ -80,28 +118,14 @@ func chainSource(n plan.Node) (*morselSource, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner := src.open
-		src.open = func(i int) (Iterator, error) {
-			it, err := inner(i)
-			if err != nil {
-				return nil, err
-			}
-			return &filterIter{input: it, node: t}, nil
-		}
+		wrapSource(src, func(it Iterator) Iterator { return &filterIter{input: it, node: t} })
 		return src, nil
 	case *plan.Project:
 		src, err := chainSource(t.Input)
 		if err != nil {
 			return nil, err
 		}
-		inner := src.open
-		src.open = func(i int) (Iterator, error) {
-			it, err := inner(i)
-			if err != nil {
-				return nil, err
-			}
-			return &projectIter{input: it, node: t}, nil
-		}
+		wrapSource(src, func(it Iterator) Iterator { return &projectIter{input: it, node: t} })
 		src.owned = true
 		return src, nil
 	case *plan.Scan:
@@ -114,10 +138,9 @@ func chainSource(n plan.Node) (*morselSource, error) {
 		return &morselSource{
 			count:   (rows + morselRows - 1) / morselRows,
 			release: func() { once.Do(snap.Release) },
-			open: func(i int) (Iterator, error) {
-				lo := i * morselRows
-				hi := min(lo+morselRows, rows)
-				return &scanIter{node: t, snap: snap, lo: lo, hi: hi}, nil
+			stack: func() (Iterator, func(int)) {
+				s := &scanIter{node: t, snap: snap}
+				return s, func(i int) { s.lo, s.hi = i*morselRows, min((i+1)*morselRows, rows) }
 			},
 		}, nil
 	case *plan.IndexRange:
@@ -129,10 +152,9 @@ func chainSource(n plan.Node) (*morselSource, error) {
 		return &morselSource{
 			count:   (len(ids) + morselRows - 1) / morselRows,
 			release: func() { once.Do(snap.Release) },
-			open: func(i int) (Iterator, error) {
-				lo := i * morselRows
-				hi := min(lo+morselRows, len(ids))
-				return &indexIter{residual: t.Residual, layout: t.Layout, snap: snap, ids: ids[lo:hi]}, nil
+			stack: func() (Iterator, func(int)) {
+				s := &indexIter{residual: t.Residual, layout: t.Layout, snap: snap}
+				return s, func(i int) { s.ids = ids[i*morselRows : min((i+1)*morselRows, len(ids))] }
 			},
 		}, nil
 	default:
@@ -140,26 +162,37 @@ func chainSource(n plan.Node) (*morselSource, error) {
 	}
 }
 
-// rowArena copies rows that alias cursor batch buffers into chunked
-// backing arrays: one allocation per ~8K values instead of one per row,
-// and headers stay valid because a chunk is never grown past its
-// capacity.
-const arenaChunkVals = 8192
+// arena hands out slices carved from chunked backing arrays: one
+// allocation per chunk instead of one per slice, and handed-out slices
+// stay valid because a chunk is never grown past its capacity. Chunks
+// double from arenaMinChunk to arenaMaxChunk elements, so a fold that
+// keeps a few rows allocates little.
+const (
+	arenaMinChunk = 256
+	arenaMaxChunk = 8192
+)
 
-type rowArena struct{ chunk []storage.Value }
+type arena[T any] struct {
+	chunk []T
+	size  int // capacity of the next chunk
+}
 
-func (a *rowArena) add(row storage.Row) storage.Row {
-	n := len(row)
+// take returns n zeroed elements.
+func (a *arena[T]) take(n int) []T {
 	if cap(a.chunk)-len(a.chunk) < n {
-		size := arenaChunkVals
-		if n > size {
-			size = n
-		}
-		a.chunk = make([]storage.Value, 0, size)
+		a.size = min(max(2*a.size, arenaMinChunk), arenaMaxChunk)
+		a.chunk = make([]T, 0, max(n, a.size))
 	}
 	start := len(a.chunk)
-	a.chunk = append(a.chunk, row...)
+	a.chunk = a.chunk[:start+n]
 	return a.chunk[start : start+n : start+n]
+}
+
+// add returns an arena copy of src.
+func (a *arena[T]) add(src []T) []T {
+	dst := a.take(len(src))
+	copy(dst, src)
+	return dst
 }
 
 // runMorsels drives a barrier-style phase (hash-join build, aggregate
@@ -180,19 +213,19 @@ func runMorsels(src *morselSource, dop int, mkWorker func(w int) func(idx int, i
 	errs := make([]error, workers)
 	work := func(w int) {
 		fn := mkWorker(w)
+		var ws morselScratch
 		for !failed.Load() {
 			idx := int(next.Add(1) - 1)
 			if idx >= src.count {
 				return
 			}
-			it, err := src.open(idx)
+			it := src.open(idx, &ws)
+			err := it.Open()
 			if err == nil {
-				if err = it.Open(); err == nil {
-					err = fn(idx, it)
-				}
-				if cerr := it.Close(); err == nil {
-					err = cerr
-				}
+				err = fn(idx, it)
+			}
+			if cerr := it.Close(); err == nil {
+				err = cerr
 			}
 			if err != nil {
 				errs[w] = err
@@ -267,6 +300,7 @@ func (g *gatherIter) Open() error {
 func (g *gatherIter) worker() {
 	defer g.wg.Done()
 	window := 2 * g.dop
+	var ws morselScratch
 	for {
 		g.mu.Lock()
 		for !g.closed && g.nextClaim < g.src.count && g.nextClaim >= g.nextEmit+window {
@@ -280,7 +314,7 @@ func (g *gatherIter) worker() {
 		g.nextClaim++
 		g.mu.Unlock()
 
-		res := g.runMorsel(idx)
+		res := g.runMorsel(idx, &ws)
 		g.mu.Lock()
 		g.results[idx] = res
 		g.cond.Broadcast()
@@ -288,22 +322,21 @@ func (g *gatherIter) worker() {
 	}
 }
 
-// runMorsel drains one morsel into an owned buffer. Rows that alias the
-// cursor's batch buffer are copied through a chunked arena; rows a
-// Project already owns pass straight through.
-func (g *gatherIter) runMorsel(idx int) *morselResult {
+// runMorsel drains one morsel into an owned buffer. Rows that alias an
+// iterator's buffer are copied through the worker's chunked arena; rows
+// a Project already owns pass straight through.
+func (g *gatherIter) runMorsel(idx int, ws *morselScratch) *morselResult {
 	res := &morselResult{}
-	it, err := g.src.open(idx)
-	if err != nil {
-		res.err = err
-		return res
-	}
+	it := g.src.open(idx, ws)
 	if err := it.Open(); err != nil {
 		_ = it.Close()
 		res.err = err
 		return res
 	}
-	var arena rowArena
+	rows := ws.rows[:0]
+	if rows == nil {
+		rows = make([]storage.Row, 0, morselRows)
+	}
 	for !g.stop.Load() {
 		row, ok, err := it.Next()
 		if err != nil {
@@ -313,12 +346,13 @@ func (g *gatherIter) runMorsel(idx int) *morselResult {
 		if !ok {
 			break
 		}
-		if g.src.owned {
-			res.rows = append(res.rows, row)
-		} else {
-			res.rows = append(res.rows, arena.add(row))
+		if !g.src.owned {
+			row = ws.arena.add(row)
 		}
+		rows = append(rows, row)
 	}
+	ws.rows = rows
+	res.rows = slices.Clone(rows)
 	if err := it.Close(); err != nil && res.err == nil {
 		res.err = err
 	}

@@ -10,7 +10,9 @@ import (
 // allocation. The plan's pushed-down filter runs inside the refill, so
 // rejected rows are never copied at all. As a morsel it reads the window
 // [lo, hi) of the source's borrowed snapshot; otherwise Open pins the
-// whole table.
+// whole table. A worker reopens one morsel scanIter for every morsel it
+// claims (see morselScratch): a reopen re-aims the cursor, keeping its
+// buffer, its predicates and the env's resolved references.
 type scanIter struct {
 	node   *plan.Scan
 	snap   *storage.Snap // borrowed morsel snapshot; nil pins at Open
@@ -20,6 +22,10 @@ type scanIter struct {
 }
 
 func (s *scanIter) Open() error {
+	if s.snap != nil && s.cur != nil {
+		s.cur.Reset(s.lo, s.hi)
+		return nil
+	}
 	if s.snap != nil {
 		s.cur = storage.NewRangeCursorAt(s.snap, s.lo, s.hi, 0)
 	} else {
@@ -144,11 +150,13 @@ func (l *limitIter) Next() (storage.Row, bool, error) {
 
 func (l *limitIter) Close() error { return l.input.Close() }
 
-// distinctIter drops duplicate rows. Input rows are projection output
-// (fresh), so they can be passed through without cloning.
+// distinctIter drops duplicate rows, keyed like GROUP BY groups
+// (appendGroupKey). Input rows are projection output (fresh), so they
+// can be passed through without cloning.
 type distinctIter struct {
 	input Iterator
 	seen  map[string]bool
+	key   []byte
 }
 
 func (d *distinctIter) Open() error {
@@ -162,11 +170,15 @@ func (d *distinctIter) Next() (storage.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		key := rowKey(row)
-		if d.seen[key] {
+		key := d.key[:0]
+		for _, v := range row {
+			key = appendGroupKey(key, v)
+		}
+		d.key = key
+		if d.seen[string(key)] {
 			continue
 		}
-		d.seen[key] = true
+		d.seen[string(key)] = true
 		return row, true, nil
 	}
 }

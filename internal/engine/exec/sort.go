@@ -3,6 +3,7 @@ package exec
 import (
 	"sort"
 
+	"crowddb/internal/engine/plan"
 	"crowddb/internal/sqlparse"
 	"crowddb/internal/storage"
 )
@@ -121,112 +122,149 @@ func (s *sortIter) Close() error {
 	return s.input.Close()
 }
 
-// topNIter keeps the n best rows under the sort keys with a bounded
-// binary max-heap (worst kept row at the root): ORDER BY + LIMIT without
-// sorting — or even retaining — the full input. Including the sequence
-// number in the comparison makes the result identical to a stable full
-// sort followed by truncation.
+// topNIter implements TopN: Open keeps the n best rows under the sort
+// keys — ORDER BY + LIMIT without sorting, or even retaining, the full
+// input. Like the aggregate it folds the input's morsels (see
+// inputSource): each worker keeps a bounded heap of the n best rows it
+// saw, stamped with morsel-ordered sequence numbers
+// (idx*morselRows+local), and the heaps are merged and cut to n. Every
+// row of the global top n is in its worker's top n, and the stamps break
+// ties as a serial scan would, so at every dop the result equals a
+// stable full sort followed by truncation.
 type topNIter struct {
-	input Iterator
-	keys  []sqlparse.OrderKey
-	n     int64
-	env   bindEnv
-	heap  []keyedRow // max-heap while filling, sorted ascending for output
+	input Iterator // nil when the fold runs over the input chain's morsels
+	node  *plan.TopN
+	rows  []keyedRow // merged heaps, sorted ascending for output
 	pos   int
 }
 
 func (t *topNIter) Open() error {
-	if err := t.input.Open(); err != nil {
+	t.rows, t.pos = nil, 0
+	src, err := inputSource(t.input, t.node.Input)
+	if err != nil {
 		return err
 	}
-	t.heap, t.pos = nil, 0
-	if t.n <= 0 {
-		return nil
+	heaps := make([]topHeap, max(1, t.node.Dop))
+	_, err = runMorsels(src, t.node.Dop, func(w int) func(idx int, it Iterator) error {
+		h := &heaps[w]
+		h.keys, h.n = t.node.Keys, t.node.N
+		env := keyEnv(t.node.Layout, t.node.ByOutput)
+		// Candidate keys evaluate into one reused buffer: a row the heap
+		// rejects — the overwhelmingly common case once the heap is warm
+		// — costs zero allocations.
+		keyBuf := make([]storage.Value, len(t.node.Keys))
+		return func(idx int, it Iterator) error {
+			for seq := idx * morselRows; h.n > 0; seq++ {
+				row, ok, err := it.Next()
+				if err != nil || !ok {
+					return err
+				}
+				if err := evalKeysInto(h.keys, env, row, keyBuf); err != nil {
+					return err
+				}
+				if err := h.offer(row, keyBuf, seq); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	})
+	if err != nil {
+		return err
 	}
-	// Candidate keys evaluate into one reused buffer: a row the heap
-	// rejects — the overwhelmingly common case once the heap is warm —
-	// costs zero allocations. Keys (and the row) are cloned only on
-	// insertion.
-	keyBuf := make([]storage.Value, len(t.keys))
-	for seq := 0; ; seq++ {
-		row, ok, err := t.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := evalKeysInto(t.keys, t.env, row, keyBuf); err != nil {
-			return err
-		}
-		cand := keyedRow{keys: keyBuf, seq: seq}
-		if int64(len(t.heap)) >= t.n {
-			// Replace the worst kept row only when strictly better; an
-			// equal row arrived later and loses the stable tie-break.
-			c, err := compareKeyed(&cand, &t.heap[0], t.keys)
-			if err != nil {
-				return err
-			}
-			if c >= 0 {
-				continue
-			}
-		}
-		kept := keyedRow{
-			row:  row.Clone(),
-			keys: append(make([]storage.Value, 0, len(keyBuf)), keyBuf...),
-			seq:  seq,
-		}
-		if int64(len(t.heap)) < t.n {
-			t.heap = append(t.heap, kept)
-			if err := t.siftUp(len(t.heap) - 1); err != nil {
-				return err
-			}
-			continue
-		}
-		t.heap[0] = kept
-		if err := t.siftDown(0); err != nil {
-			return err
-		}
+	for _, h := range heaps {
+		t.rows = append(t.rows, h.rows...)
 	}
 	var cmpErr error
-	sort.Slice(t.heap, func(a, b int) bool {
-		c, err := compareKeyed(&t.heap[a], &t.heap[b], t.keys)
+	sort.Slice(t.rows, func(a, b int) bool {
+		c, err := compareKeyed(&t.rows[a], &t.rows[b], t.node.Keys)
 		if err != nil && cmpErr == nil {
 			cmpErr = err
 		}
 		return c < 0
 	})
+	if int64(len(t.rows)) > t.node.N {
+		t.rows = t.rows[:t.node.N]
+	}
 	return cmpErr
 }
 
-func (t *topNIter) less(a, b int) (bool, error) {
-	c, err := compareKeyed(&t.heap[a], &t.heap[b], t.keys)
+func (t *topNIter) Next() (storage.Row, bool, error) {
+	if t.pos >= len(t.rows) {
+		return nil, false, nil
+	}
+	row := t.rows[t.pos].row
+	t.pos++
+	return row, true, nil
+}
+
+// Close has no child to close: the fold closed its input (runMorsels
+// closes every morsel it opens).
+func (t *topNIter) Close() error {
+	t.rows = nil
+	return nil
+}
+
+// topHeap is one worker's bounded binary max-heap (worst kept row at the
+// root) of the n best rows it has seen.
+type topHeap struct {
+	keys []sqlparse.OrderKey
+	n    int64
+	rows []keyedRow
+}
+
+// offer considers one candidate row with its evaluated keys, copying
+// them only when the heap keeps them. While the heap fills, a kept row
+// and its keys share one new allocation; once it is full, a better row
+// is copied over the evicted worst one, so a warm heap allocates
+// nothing.
+func (h *topHeap) offer(row storage.Row, keys []storage.Value, seq int) error {
+	if int64(len(h.rows)) < h.n {
+		buf := append(append(make([]storage.Value, 0, len(row)+len(keys)), row...), keys...)
+		h.rows = append(h.rows, keyedRow{row: buf[:len(row):len(row)], keys: buf[len(row):], seq: seq})
+		return h.siftUp(len(h.rows) - 1)
+	}
+	// Replace the worst kept row only when strictly better; an equal row
+	// arrived later and loses the stable tie-break.
+	c, err := compareKeyed(&keyedRow{keys: keys, seq: seq}, &h.rows[0], h.keys)
+	if err != nil || c >= 0 {
+		return err
+	}
+	worst := &h.rows[0]
+	copy(worst.row, row)
+	copy(worst.keys, keys)
+	worst.seq = seq
+	return h.siftDown(0)
+}
+
+func (h *topHeap) less(a, b int) (bool, error) {
+	c, err := compareKeyed(&h.rows[a], &h.rows[b], h.keys)
 	return c < 0, err
 }
 
-func (t *topNIter) siftUp(i int) error {
+func (h *topHeap) siftUp(i int) error {
 	for i > 0 {
 		parent := (i - 1) / 2
 		// Max-heap: the parent must not be less than the child.
-		lt, err := t.less(parent, i)
+		lt, err := h.less(parent, i)
 		if err != nil {
 			return err
 		}
 		if !lt {
 			return nil
 		}
-		t.heap[parent], t.heap[i] = t.heap[i], t.heap[parent]
+		h.rows[parent], h.rows[i] = h.rows[i], h.rows[parent]
 		i = parent
 	}
 	return nil
 }
 
-func (t *topNIter) siftDown(i int) error {
+func (h *topHeap) siftDown(i int) error {
 	for {
 		largest := i
-		for _, child := range []int{2*i + 1, 2*i + 2} {
-			if child < len(t.heap) {
-				lt, err := t.less(largest, child)
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < len(h.rows) {
+				lt, err := h.less(largest, child)
 				if err != nil {
 					return err
 				}
@@ -238,21 +276,7 @@ func (t *topNIter) siftDown(i int) error {
 		if largest == i {
 			return nil
 		}
-		t.heap[i], t.heap[largest] = t.heap[largest], t.heap[i]
+		h.rows[i], h.rows[largest] = h.rows[largest], h.rows[i]
 		i = largest
 	}
-}
-
-func (t *topNIter) Next() (storage.Row, bool, error) {
-	if t.pos >= len(t.heap) {
-		return nil, false, nil
-	}
-	row := t.heap[t.pos].row
-	t.pos++
-	return row, true, nil
-}
-
-func (t *topNIter) Close() error {
-	t.heap = nil
-	return t.input.Close()
 }

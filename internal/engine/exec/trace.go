@@ -20,9 +20,10 @@ type OpStats struct {
 
 // Trace collects OpStats for the plan nodes that materialize as
 // iterators during one execution. Nodes inside a morsel-parallel chain
-// (under a Gather, or the parallel side of a HashJoin/Aggregate) never
-// build an iterator — the parent operator folds their morsels directly —
-// so they carry no stats; Annotate marks them as such. The root operator
+// (under a Gather, or the parallel input of a HashJoin, Aggregate or
+// TopN) never build an iterator — the parent operator folds their
+// morsels directly — so they carry no stats; Annotate marks them as
+// such. The root operator
 // always has an iterator, so root row counts are exact at any dop.
 //
 // The map is built single-threaded during build() and only read after

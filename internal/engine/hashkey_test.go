@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"crowddb/internal/storage"
@@ -59,5 +60,36 @@ func TestDistinctKeyNoForgery(t *testing.T) {
 	res := mustExec(t, e, `SELECT DISTINCT x, y FROM d`)
 	if len(res.Rows) != 2 {
 		t.Fatalf("distinct collapsed %d different rows", 2-len(res.Rows)+1)
+	}
+}
+
+// A hash join must agree with the `=` operator: -0.0 = 0.0, so a -0.0
+// row joins a 0.0 row (and an integer 0), exactly as WHERE x = 0.0
+// matches it, at every dop.
+func TestJoinNegativeZero(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, `CREATE TABLE a (x FLOAT)`)
+	mustExec(t, e, `CREATE TABLE b (y FLOAT, z INTEGER)`)
+	ta, _ := e.Catalog().Get("a")
+	tb, _ := e.Catalog().Get("b")
+	if err := ta.Insert(storage.Float(math.Copysign(0, -1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Insert(storage.Float(0), storage.Int(0)); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := mustExec(t, e, `SELECT COUNT(*) FROM a WHERE x = 0.0`).Rows[0][0].AsInt(); n != 1 {
+		t.Fatalf("WHERE x = 0.0 matched %d rows, want 1", n)
+	}
+	for _, dop := range []int{1, 8} {
+		e.SetExecWorkers(dop)
+		for _, sql := range []string{
+			`SELECT COUNT(*) FROM a JOIN b ON a.x = b.y`,
+			`SELECT COUNT(*) FROM a JOIN b ON a.x = b.z`,
+		} {
+			if n, _ := mustExec(t, e, sql).Rows[0][0].AsInt(); n != 1 {
+				t.Fatalf("dop %d: %s = %d, want 1", dop, sql, n)
+			}
+		}
 	}
 }

@@ -288,3 +288,160 @@ func TestParallelErrorPathsReleaseSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// explainText runs EXPLAIN sql and joins the plan lines.
+func explainText(t *testing.T, e *Engine, sql string) string {
+	t.Helper()
+	res := mustExec(t, e, "EXPLAIN "+sql)
+	var lines []string
+	for _, row := range res.Rows {
+		line, _ := row[0].AsText()
+		lines = append(lines, line)
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestParallelTopNMatchesSerial covers the per-worker TopN fold: each
+// worker keeps a bounded heap over its morsels and the heaps merge, so
+// ties must still break in serial input order, NULL keys must still sort
+// last, and the limit edge cases must match a serial run row for row.
+func TestParallelTopNMatchesSerial(t *testing.T) {
+	e := parallelEngine(t)
+	// ties: v is 0 on rows 4090..4105 — straddling the first 4096-row
+	// morsel boundary — and 1 everywhere else, so only the stable
+	// tie-break decides which ten rows come first.
+	mustExec(t, e, `CREATE TABLE ties (id INTEGER, v INTEGER)`)
+	ties, _ := e.Catalog().Get("ties")
+	for i := 0; i < parRows; i++ {
+		v := int64(1)
+		if i >= 4090 && i <= 4105 {
+			v = 0
+		}
+		if err := ties.Insert(storage.Int(int64(i)), storage.Int(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := bothDops(t, e, `SELECT id FROM ties ORDER BY v LIMIT 10`)
+	wantIDs(t, res, 4090, 4091, 4092, 4093, 4094, 4095, 4096, 4097, 4098, 4099)
+	// Past the zeros the ties on v = 1 resume in table order.
+	res = bothDops(t, e, `SELECT id FROM ties ORDER BY v LIMIT 18`)
+	if id, _ := res.Rows[16][0].AsInt(); id != 0 {
+		t.Fatalf("row 16 = %v, want id 0", res.Rows[16])
+	}
+	if id, _ := res.Rows[17][0].AsInt(); id != 1 {
+		t.Fatalf("row 17 = %v, want id 1", res.Rows[17])
+	}
+
+	// NULL keys (every 7th k) sort last in either direction, in input
+	// order; a limit past every non-NULL row reaches into them.
+	for _, sql := range []string{
+		`SELECT id, k FROM wide ORDER BY k DESC LIMIT 4500`,
+		`SELECT id, k FROM wide ORDER BY k LIMIT 4300`,
+	} {
+		res := bothDops(t, e, sql)
+		last := res.Rows[len(res.Rows)-1]
+		if !last[1].IsNull() {
+			t.Fatalf("%s: last row %v, want a NULL key", sql, last)
+		}
+	}
+
+	// LIMIT 0 returns nothing; a limit above the row count returns every
+	// row, fully sorted.
+	if res := bothDops(t, e, `SELECT id FROM wide ORDER BY score LIMIT 0`); len(res.Rows) != 0 {
+		t.Fatalf("LIMIT 0 returned %d rows", len(res.Rows))
+	}
+	res = bothDops(t, e, `SELECT id, score FROM wide ORDER BY score DESC, id LIMIT 100000`)
+	if len(res.Rows) != parRows {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), parRows)
+	}
+	wantIDs(t, &Result{Rows: res.Rows[:3]}, 999, 1999, 2999)
+
+	// ORDER BY an output alias: the key is rewritten onto the expression
+	// under the Project.
+	res = bothDops(t, e, `SELECT id, score * 2 s FROM wide WHERE grp = 1 ORDER BY s DESC, id LIMIT 5`)
+	wantIDs(t, res, 997, 1997, 2997, 3997, 4997)
+
+	// The fold replaces the Gather: TopN carries the dop itself.
+	e.SetExecWorkers(8)
+	defer e.SetExecWorkers(1)
+	text := explainText(t, e, `SELECT id FROM wide ORDER BY score LIMIT 7`)
+	if !strings.Contains(text, "TopN(n=7, score) [dop=8]") || strings.Contains(text, "Gather") {
+		t.Fatalf("TopN over a chain should fold per worker without a Gather:\n%s", text)
+	}
+}
+
+// TestParallelGroupIdentityMatchesSerial pins GROUP BY and DISTINCT key
+// identity at both dops: values of different kinds stay apart, NULL keys
+// form one group, and texts holding tag, length or separator bytes
+// cannot forge a multi-column collision.
+func TestParallelGroupIdentityMatchesSerial(t *testing.T) {
+	e := parallelEngine(t)
+
+	// The NULL group: every 7th k is NULL (715 rows), the rest cycle
+	// through ten keys.
+	res := bothDops(t, e, `SELECT k, COUNT(*) FROM wide GROUP BY k`)
+	if len(res.Rows) != 11 {
+		t.Fatalf("groups = %d, want 10 keys plus the NULL group", len(res.Rows))
+	}
+	if !res.Rows[0][0].IsNull() {
+		t.Fatalf("first-seen group = %v, want the NULL key (row 0)", res.Rows[0])
+	}
+	if n, _ := res.Rows[0][1].AsInt(); n != 715 {
+		t.Fatalf("NULL group count = %d, want 715", n)
+	}
+	if res := bothDops(t, e, `SELECT DISTINCT k FROM wide`); len(res.Rows) != 11 {
+		t.Fatalf("DISTINCT k = %d rows, want 11", len(res.Rows))
+	}
+
+	// Kinds: 1, 1.0 and '1' each keep their own kind through the group
+	// key and the group's output row.
+	mustExec(t, e, `CREATE TABLE kinds (i INTEGER, f FLOAT, s TEXT)`)
+	kinds, _ := e.Catalog().Get("kinds")
+	for r := 0; r < parRows; r++ {
+		if err := kinds.Insert(storage.Int(1), storage.Float(1.0), storage.Text("1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res = bothDops(t, e, `SELECT i, f, s, COUNT(*) FROM kinds GROUP BY i, f, s`)
+	if len(res.Rows) != 1 {
+		t.Fatalf("groups = %v", res.Rows)
+	}
+	want := storage.Row{storage.Int(1), storage.Float(1.0), storage.Text("1"), storage.Int(parRows)}
+	if !reflect.DeepEqual(res.Rows[0], want) {
+		t.Fatalf("group = %v, want %v", res.Rows[0], want)
+	}
+
+	// Tricky texts: pairs that collide under a key without length
+	// prefixes (tag byte inside the text), under one without kind tags,
+	// or under a separator-joined key.
+	tag := string([]byte{byte(storage.KindText)})
+	pairs := [][2]string{
+		{"a" + tag + "b", "c"}, {"a", "b" + tag + "c"},
+		{"x\x1f", "y"}, {"x", "\x1fy"},
+		{"\x01", "\x01\x01"}, {"\x01\x01", "\x01"},
+		{"\x02ab", ""}, {"", "\x02ab"},
+		{"", ""},
+	}
+	mustExec(t, e, `CREATE TABLE tricky (x TEXT, y TEXT)`)
+	tricky, _ := e.Catalog().Get("tricky")
+	for r := 0; r < parRows; r++ {
+		p := pairs[r%len(pairs)]
+		if err := tricky.Insert(storage.Text(p[0]), storage.Text(p[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res = bothDops(t, e, `SELECT x, y, COUNT(*) FROM tricky GROUP BY x, y`)
+	if len(res.Rows) != len(pairs) {
+		t.Fatalf("groups = %d, want %d", len(res.Rows), len(pairs))
+	}
+	for i, p := range pairs {
+		x, _ := res.Rows[i][0].AsText()
+		y, _ := res.Rows[i][1].AsText()
+		if x != p[0] || y != p[1] {
+			t.Fatalf("group %d = (%q, %q), want (%q, %q)", i, x, y, p[0], p[1])
+		}
+	}
+	if res := bothDops(t, e, `SELECT DISTINCT x, y FROM tricky`); len(res.Rows) != len(pairs) {
+		t.Fatalf("DISTINCT x, y = %d rows, want %d", len(res.Rows), len(pairs))
+	}
+}

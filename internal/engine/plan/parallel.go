@@ -15,6 +15,9 @@ package plan
 //   - An Aggregate over such a chain gets Dop set: workers fold partial
 //     groups per morsel and a final merge combines them in first-seen
 //     order.
+//   - A TopN over such a chain gets Dop set: each worker keeps a bounded
+//     heap over its morsels, rows stamped with morsel-ordered sequence
+//     numbers, and the heaps merge into the serial answer — no Gather.
 //
 // Leaves estimated below MinParallelRows stay serial: tiny inputs gain
 // nothing from fan-out, and keeping their plans byte-identical keeps
@@ -70,10 +73,14 @@ func parallelize(n Node, dop int) Node {
 			t.Input = parallelize(t.Input, dop)
 		}
 		return t
-	case *Sort:
-		t.Input = parallelize(t.Input, dop)
-		return t
 	case *TopN:
+		if markChain(t.Input, dop) {
+			t.Dop = dop
+		} else {
+			t.Input = parallelize(t.Input, dop)
+		}
+		return t
+	case *Sort:
 		t.Input = parallelize(t.Input, dop)
 		return t
 	case *Distinct:

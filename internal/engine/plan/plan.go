@@ -259,6 +259,9 @@ type TopN struct {
 	N        int64
 	Layout   *Layout
 	ByOutput []string
+	// Dop > 1 folds per-worker bounded heaps over the input morsels and
+	// merges them (set by Parallelize).
+	Dop int
 }
 
 // Gather is the exchange operator: it runs its input — a Filter/Project
@@ -427,7 +430,7 @@ func orderKeyList(keys []sqlparse.OrderKey) string {
 
 func (s *Sort) Describe() string { return fmt.Sprintf("Sort(%s)", orderKeyList(s.Keys)) }
 func (t *TopN) Describe() string {
-	return fmt.Sprintf("TopN(n=%d, %s)", t.N, orderKeyList(t.Keys))
+	return fmt.Sprintf("TopN(n=%d, %s)", t.N, orderKeyList(t.Keys)) + dopSuffix(t.Dop)
 }
 func (g *Gather) Describe() string { return fmt.Sprintf("Gather(dop=%d)", g.Dop) }
 func (*Distinct) Describe() string { return "Distinct" }

@@ -22,8 +22,10 @@ import "fmt"
 // silently ending the scan.
 //
 // The Row returned by Next aliases the cursor's internal buffer and is
-// valid only until the following Next call; callers that retain rows
-// (sorts, hash builds) must Clone them.
+// valid only until the following Next or Reset call; callers that retain
+// rows (sorts, hash builds) must Clone them. A cursor over a borrowed
+// snapshot is reusable: Reset re-aims it at another window and recycles
+// the batch buffer, so every row it returned before is dead from then on.
 type Cursor struct {
 	snap  *Snap
 	v     *version
@@ -79,23 +81,44 @@ func newCursorOn(snap *Snap, lo, hi, batchSize int) *Cursor {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	v := snap.v
-	if hi < 0 || hi > v.nrows {
-		hi = v.nrows
-	}
-	width := v.schema.Len()
-	return &Cursor{
+	width := snap.v.schema.Len()
+	c := &Cursor{
 		snap:  snap,
-		v:     v,
+		v:     snap.v,
 		width: width,
-		next:  lo,
-		limit: hi,
 		buf:   make([]Value, batchSize*width),
 		hdrs:  make([]Row, batchSize),
 	}
+	c.aim(lo, hi)
+	return c
+}
+
+// aim positions the cursor at the start of the physical-row window
+// [lo, hi), clamped to the snapshot (hi < 0 means its end).
+func (c *Cursor) aim(lo, hi int) {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi < 0 || hi > c.v.nrows {
+		hi = c.v.nrows
+	}
+	c.next, c.limit = lo, hi
+	c.winLo, c.winN, c.winPos = 0, 0, 0
+	c.n, c.pos, c.err, c.done = 0, 0, nil, false
+}
+
+// Reset re-aims a cursor over a borrowed snapshot (NewRangeCursorAt) at
+// the window [lo, hi) of the same snapshot, keeping its batch buffers,
+// predicates and filter: a morsel worker reads every morsel it claims
+// through one cursor instead of allocating a batch buffer per morsel.
+// Rows returned before the Reset alias the recycled buffer and must not
+// be read afterwards. A cursor that owns its pin (NewCursor) may have
+// released it already and cannot be reset.
+func (c *Cursor) Reset(lo, hi int) {
+	if c.owns {
+		panic("storage: Reset on a cursor that owns its snapshot")
+	}
+	c.aim(lo, hi)
 }
 
 // SetFilter installs a residual predicate evaluated per selected row

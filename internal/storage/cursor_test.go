@@ -158,3 +158,75 @@ func BenchmarkCursorScan(b *testing.B) {
 		}
 	}
 }
+
+// drainIDs reads every remaining row's id.
+func drainIDs(t *testing.T, next func() (Row, bool), errf func() error) []int64 {
+	t.Helper()
+	var ids []int64
+	for {
+		row, ok := next()
+		if !ok {
+			break
+		}
+		id, _ := row[0].AsInt()
+		ids = append(ids, id)
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// A reset cursor reads its new window exactly like a fresh cursor with
+// the same predicates and filter — whether the old window was abandoned
+// mid-batch or read to the end — and never shows the old window's rows.
+func TestCursorResetReaimsWindow(t *testing.T) {
+	tbl := cursorTable(t, 3*ChunkRows)
+	snap := tbl.Pin()
+	defer snap.Release()
+	setup := func(c *Cursor) {
+		c.SetPreds([]Pred{{Col: 0, Op: PredGe, Val: Int(100)}})
+		c.SetFilter(func(r Row) (bool, error) {
+			id, _ := r[0].AsInt()
+			return id%3 != 0, nil
+		})
+	}
+	fresh := func(lo, hi int) []int64 {
+		c := NewRangeCursorAt(snap, lo, hi, 64)
+		setup(c)
+		return drainIDs(t, c.Next, c.Err)
+	}
+
+	c := NewRangeCursorAt(snap, 0, ChunkRows+10, 64)
+	setup(c)
+	for i := 0; i < 70; i++ { // abandon the window inside its second batch
+		if _, ok := c.Next(); !ok {
+			t.Fatal("window ended early")
+		}
+	}
+	for _, w := range [][2]int{{ChunkRows - 5, 2*ChunkRows + 7}, {50, 300}, {2 * ChunkRows, -1}, {10, 10}} {
+		c.Reset(w[0], w[1])
+		got, want := drainIDs(t, c.Next, c.Err), fresh(w[0], w[1])
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("window %v after Reset: %d rows, fresh cursor %d", w, len(got), len(want))
+		}
+	}
+}
+
+func TestIndexCursorResetReaimsIDs(t *testing.T) {
+	tbl := cursorTable(t, 1000)
+	snap := tbl.Pin()
+	defer snap.Release()
+	c := NewIndexCursorAt(snap, []int{5, 6, 7, 8, 9}, 2)
+	if _, ok := c.Next(); !ok {
+		t.Fatal("no first row")
+	}
+	c.Reset([]int{900, 3, 42})
+	if got := drainIDs(t, c.Next, c.Err); fmt.Sprint(got) != "[900 3 42]" {
+		t.Fatalf("ids after Reset = %v", got)
+	}
+	c.Reset([]int{1})
+	if got := drainIDs(t, c.Next, c.Err); fmt.Sprint(got) != "[1]" {
+		t.Fatalf("ids after second Reset = %v", got)
+	}
+}

@@ -444,6 +444,18 @@ func NewIndexCursorAt(snap *Snap, ids []int, batchSize int) *IndexCursor {
 	}
 }
 
+// Reset re-aims a cursor over a borrowed snapshot (NewIndexCursorAt) at
+// another slice of row IDs resolved against the same snapshot, keeping
+// its batch buffers and filter (same contract as Cursor.Reset: rows
+// returned before the Reset must not be read afterwards).
+func (c *IndexCursor) Reset(ids []int) {
+	if c.owns {
+		panic("storage: Reset on an index cursor that owns its snapshot")
+	}
+	c.ids, c.next = ids, 0
+	c.n, c.pos, c.err, c.done = 0, 0, nil, false
+}
+
 // SetFilter installs a residual predicate evaluated during refill,
 // before a row is surfaced (same contract as Cursor.SetFilter).
 func (c *IndexCursor) SetFilter(f func(Row) (bool, error)) { c.filter = f }
